@@ -1,13 +1,13 @@
-"""Integer arithmetic substrate: sieve, divisors, primality, triangular numbers.
+"""Integer arithmetic substrate: sieve, divisors, primality, highly composite
+numbers, triangular numbers.
 
-Single queries work without any sieve (trial division).  Batch callers build a
-:class:`DivisorSieve` once and pass it in; the two paths return identical
-results.
+Single-N queries use trial division and the highly-composite generator; none
+of them needs a sieve.  The sweep builds one :class:`DivisorSieve` for the
+prime flags of its whole range.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from math import isqrt
 
@@ -32,8 +32,6 @@ class DivisorSieve:
     def __init__(self, limit: int, spf: np.ndarray):
         self.limit = limit
         self.spf = spf
-        self._hc_lock = threading.Lock()
-        self._hc_table: np.ndarray | None = None
 
     def smallest_prime_factor(self, n: int) -> int:
         if not 2 <= n <= self.limit:
@@ -41,12 +39,10 @@ class DivisorSieve:
         return int(self.spf[n])
 
     def highly_composite_table(self) -> np.ndarray:
-        """Boolean table of divisor-count record holders, built on first use."""
-        if self._hc_table is None:
-            with self._hc_lock:
-                if self._hc_table is None:
-                    self._hc_table = _divisor_count_records(self.limit)
-        return self._hc_table
+        """Boolean table of divisor-count record holders over [0, limit]."""
+        table = np.zeros(self.limit + 1, dtype=bool)
+        table[highly_composite_numbers(self.limit)] = True
+        return table
 
 
 def build_sieve(limit: int) -> DivisorSieve:
@@ -73,37 +69,10 @@ class DivisorList:
     divisors: tuple[int, ...]
 
 
-def factorize(n: int, sieve: DivisorSieve) -> list[tuple[int, int]]:
-    """Prime factorization of n as (prime, exponent) pairs, primes ascending."""
-    if not 1 <= n <= sieve.limit:
-        raise ValueError(f"n={n} outside sieve range [1, {sieve.limit}]")
-    spf = sieve.spf
-    out = []
-    while n > 1:
-        p = int(spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return out
-
-
-def divisors(n: int, sieve: DivisorSieve | None = None) -> DivisorList:
-    """Complete sorted divisor list of n.
-
-    With a sieve: factor via smallest prime factors, then expand products.
-    Without: trial division up to sqrt(n).
-    """
+def divisors(n: int) -> DivisorList:
+    """Complete sorted divisor list of n, by trial division up to sqrt(n)."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if sieve is not None:
-        divs = [1]
-        for p, e in factorize(n, sieve):
-            powers = [p**i for i in range(1, e + 1)]
-            divs += [d * q for d in divs for q in powers]
-        divs.sort()
-        return DivisorList(n, tuple(divs))
     small, large = [], []
     for d in range(1, isqrt(n) + 1):
         if n % d == 0:
@@ -113,12 +82,10 @@ def divisors(n: int, sieve: DivisorSieve | None = None) -> DivisorList:
     return DivisorList(n, tuple(small + large[::-1]))
 
 
-def is_prime(n: int, sieve: DivisorSieve | None = None) -> bool:
+def is_prime(n: int) -> bool:
     """True iff n has exactly two divisors."""
     if n < 2:
         return False
-    if sieve is not None and n <= sieve.limit:
-        return int(sieve.spf[n]) == n
     if n % 2 == 0:
         return n == 2
     for d in range(3, isqrt(n) + 1, 2):
@@ -134,30 +101,50 @@ def triangular(m: int) -> int:
     return m * (m - 1) // 2
 
 
-def is_highly_composite(n: int, sieve: DivisorSieve) -> bool:
+def highly_composite_numbers(limit: int) -> list[int]:
+    """Every n <= limit with strictly more divisors than each smaller positive
+    integer, ascending.  1 and 2 qualify; ties do not.
+
+    Candidates are the products 2^a1 * 3^a2 * ... * p_k^ak <= limit with
+    a1 >= a2 >= ... >= ak >= 1 (Ramanujan, 1915): sorting an integer's
+    exponents in decreasing order onto consecutive primes keeps its divisor
+    count and never makes it larger, so the records among the candidates are
+    the records among all integers.
+    """
+    if limit < 1:
+        return []
+    primes = [2]
+    candidates = [(1, 1)]  # (value, divisor count)
+    # (value, divisor count, index of the next prime, largest exponent allowed)
+    stack = [(1, 1, 0, limit.bit_length())]
+    while stack:
+        base, tau, index, max_exp = stack.pop()
+        if index == len(primes):
+            q = primes[-1] + 1
+            while not is_prime(q):
+                q += 1
+            primes.append(q)
+        value = base
+        for exp in range(1, max_exp + 1):
+            value *= primes[index]
+            if value > limit:
+                break
+            count = tau * (exp + 1)
+            candidates.append((value, count))
+            stack.append((value, count, index + 1, exp))
+    records, best = [], 0
+    for value, count in sorted(candidates):
+        if count > best:
+            records.append(value)
+            best = count
+    return records
+
+
+def is_highly_composite(n: int) -> bool:
     """True iff n has strictly more divisors than every smaller positive integer.
 
     1 and 2 qualify; ties do not.
     """
-    if not 1 <= n <= sieve.limit:
-        raise ValueError(f"n={n} outside sieve range [1, {sieve.limit}]")
-    return bool(sieve.highly_composite_table()[n])
-
-
-def _divisor_counts(limit: int) -> np.ndarray:
-    """tau(n) for all n <= limit via the paired-divisor sieve."""
-    tau = np.zeros(limit + 1, dtype=np.int32)
-    for d in range(1, isqrt(limit) + 1):
-        tau[d * d] += 1  # d pairs with itself
-        tau[d * d + d :: d] += 2  # d pairs with n // d > d
-    return tau
-
-
-def _divisor_count_records(limit: int) -> np.ndarray:
-    tau = _divisor_counts(limit)
-    records = np.zeros(limit + 1, dtype=bool)
-    records[1] = True  # vacuous: nothing below 1
-    if limit >= 2:
-        best_below = np.maximum.accumulate(tau)
-        records[2:] = tau[2:] > best_below[1:-1]
-    return records
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    return highly_composite_numbers(n)[-1] == n

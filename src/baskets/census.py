@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
-from .arith import DivisorSieve, is_highly_composite, is_prime, triangular
+from .arith import is_highly_composite, is_prime, triangular
 from .solver import InfeasibleError, PearDistribution, Solution, feasible
 
 NEAR_PERFECT_THRESHOLD = 0.9
@@ -37,7 +37,7 @@ class DistributionCount:
     count: int
 
 
-def classify(solution: Solution, sieve: DivisorSieve) -> ClassificationFlags:
+def classify(solution: Solution) -> ClassificationFlags:
     """Non-exclusive flags for one solved N.
 
     Perfect is decided in exact integers (2N = n(n-1) with n odd), never by
@@ -47,9 +47,9 @@ def classify(solution: Solution, sieve: DivisorSieve) -> ClassificationFlags:
     perfect = 2 * n == n_max * (n_max - 1) and n_max % 2 == 1
     return ClassificationFlags(
         perfect=perfect,
-        prime=is_prime(n, sieve),
+        prime=is_prime(n),
         near_perfect=solution.efficiency > NEAR_PERFECT_THRESHOLD and not perfect,
-        highly_composite=is_highly_composite(n, sieve),
+        highly_composite=is_highly_composite(n),
     )
 
 

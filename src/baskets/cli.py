@@ -16,7 +16,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 from . import census, oracle
-from .arith import CapacityError, build_sieve
+from .arith import CapacityError
 from .census import ClassificationFlags
 from .solver import InfeasibleError, PearDistribution, Solution, solve
 from .sweep import SweepConfig, run_sweep
@@ -128,9 +128,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    sieve = build_sieve(max(args.n, 2))
-    solution = solve(args.n, sieve)
-    flags = census.classify(solution, sieve)
+    flags = census.classify(solve(args.n))
     if args.format == "json":
         print(json.dumps({"n_input": args.n, **flags_to_dict(flags)}))
         return EXIT_OK
@@ -142,11 +140,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.start > args.end:
         raise UsageError(f"empty range: {args.start} > {args.end}")
-    sieve = build_sieve(max(args.end, 2))
     rows = []
     for n in range(args.start, args.end + 1):
-        solution = solve(n, sieve)
-        rows.append(table_row(solution, census.classify(solution, sieve)))
+        solution = solve(n)
+        rows.append(table_row(solution, census.classify(solution)))
 
     cells = [(str(r.n_input), r.bound_display, str(r.n_max), str(r.apples_per_basket),
               r.efficiency_display, r.distribution_text, r.display_class)
@@ -266,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InfeasibleError, CapacityError, ValueError) as exc:
+    except (InfeasibleError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import DivisorSieve, divisors, triangular
+from .arith import divisors, triangular
 
 
 class InfeasibleError(ValueError):
@@ -88,12 +88,12 @@ def canonical_distribution(n: int, n_input: int) -> PearDistribution:
     return PearDistribution(tuple(range(n - 1)) + (n - 1 + surplus,))
 
 
-def solve(n_input: int, sieve: DivisorSieve | None = None) -> Solution:
+def solve(n_input: int) -> Solution:
     """Maximize the basket count for n_input apples and n_input pears."""
     if n_input < 1:
         raise ValueError(f"n_input must be positive, got {n_input}")
     n_max = 1
-    for d in reversed(divisors(n_input, sieve).divisors):
+    for d in reversed(divisors(n_input).divisors):
         if feasible(d, n_input):
             n_max = d
             break

@@ -143,7 +143,7 @@ def compute_records(limit: int, sieve: DivisorSieve | None = None,
     bound = (1.0 + np.sqrt((1 + 8 * ns).astype(np.float64))) / 2.0
     near_perfect = (n_max / bound > NEAR_PERFECT_THRESHOLD) & ~perfect
 
-    highly_composite = sieve.highly_composite_table()[: limit + 1].copy()
+    highly_composite = sieve.highly_composite_table()[: limit + 1]
 
     return SweepData(limit, n_max, perfect, prime, near_perfect, highly_composite)
 

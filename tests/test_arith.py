@@ -1,3 +1,6 @@
+from math import isqrt
+
+import numpy as np
 import pytest
 
 from baskets.arith import (
@@ -5,7 +8,7 @@ from baskets.arith import (
     SIEVE_CEILING,
     build_sieve,
     divisors,
-    factorize,
+    highly_composite_numbers,
     is_highly_composite,
     is_prime,
     triangular,
@@ -68,48 +71,32 @@ class TestDivisors:
         with pytest.raises(ValueError):
             divisors(0)
 
-    def test_matches_multiple_marking(self, sieve_10k):
+    def test_matches_multiple_marking(self):
         # every claimed divisor passes the remainder test, pairs with its
         # cofactor, and the list is complete per an independent marking scan
         brute = brute_divisor_lists(10_000)
         for n in range(1, 10_001):
-            divs = divisors(n, sieve_10k).divisors
+            divs = divisors(n).divisors
             assert list(divs) == brute[n]
             for d in divs:
                 assert n % d == 0 and d * (n // d) == n
 
-    def test_sieve_and_trial_paths_agree(self):
-        sieve = build_sieve(100_000)
-        for n in range(2, 100_001):
-            assert divisors(n, sieve).divisors == divisors(n).divisors
-
-    def test_sorted_with_endpoints(self, sieve_10k):
+    def test_sorted_with_endpoints(self):
         for n in (1, 2, 97, 360, 9973, 10_000):
-            divs = divisors(n, sieve_10k).divisors
+            divs = divisors(n).divisors
             assert divs[0] == 1 and divs[-1] == n
             assert list(divs) == sorted(set(divs))
-
-    def test_factorize(self, sieve_10k):
-        assert factorize(60, sieve_10k) == [(2, 2), (3, 1), (5, 1)]
-        assert factorize(1, sieve_10k) == []
-        with pytest.raises(ValueError):
-            factorize(10_001, sieve_10k)
 
 
 class TestIsPrime:
     @pytest.mark.parametrize("n,expected", [(53, True), (1, False), (60, False), (2, True)])
-    def test_examples(self, n, expected, sieve_10k):
+    def test_examples(self, n, expected):
         assert is_prime(n) is expected
-        assert is_prime(n, sieve_10k) is expected
 
-    def test_matches_divisor_count(self, sieve_10k):
+    def test_matches_divisor_count(self):
         brute = brute_divisor_lists(10_000)
         for n in range(1, 10_001):
-            assert is_prime(n, sieve_10k) == (len(brute[n]) == 2)
-
-    def test_beyond_sieve_falls_back_to_trial(self, sieve_10k):
-        assert is_prime(10_007, sieve_10k)  # over the limit: trial division
-        assert not is_prime(10_001, sieve_10k)
+            assert is_prime(n) == (len(brute[n]) == 2)
 
 
 class TestTriangular:
@@ -127,10 +114,10 @@ class TestTriangular:
 
 
 class TestHighlyComposite:
-    def test_examples(self, sieve_10k):
-        assert is_highly_composite(60, sieve_10k)
-        assert is_highly_composite(1, sieve_10k)
-        assert not is_highly_composite(50, sieve_10k)
+    def test_examples(self):
+        assert is_highly_composite(60)
+        assert is_highly_composite(1)
+        assert not is_highly_composite(50)
 
     def test_50_loses_to_48(self):
         # d(48) = 10 >= d(50) = 6, so 50 is not a record holder
@@ -138,7 +125,7 @@ class TestHighlyComposite:
         assert count(48) == 10
         assert count(50) == 6
 
-    def test_matches_record_scan(self, sieve_10k):
+    def test_matches_record_scan(self):
         brute = brute_divisor_lists(10_000)
         best = 0
         expected = set()
@@ -146,26 +133,39 @@ class TestHighlyComposite:
             if len(brute[n]) > best:
                 expected.add(n)
                 best = len(brute[n])
-        got = {n for n in range(1, 10_001) if is_highly_composite(n, sieve_10k)}
+        got = {n for n in range(1, 10_001) if is_highly_composite(n)}
         assert got == expected
 
-    def test_ties_do_not_qualify(self, sieve_10k):
+    def test_ties_do_not_qualify(self):
         # 3 has two divisors, same as 2: a tie, not a new record
-        assert not is_highly_composite(3, sieve_10k)
+        assert not is_highly_composite(3)
 
-    def test_out_of_range(self, sieve_10k):
+    def test_out_of_range(self):
         with pytest.raises(ValueError):
-            is_highly_composite(10_001, sieve_10k)
+            is_highly_composite(0)
+        # no upper limit: values past 10^4 are judged too
+        assert is_highly_composite(10_080)
+        assert not is_highly_composite(10_001)
 
-    def test_concurrent_first_use(self):
-        # the record table builds lazily; concurrent first readers must agree
-        from concurrent.futures import ThreadPoolExecutor
 
-        sieve = build_sieve(5000)
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(
-                lambda _: [is_highly_composite(n, sieve) for n in (48, 50, 60, 5040 // 2)],
-                range(16),
-            ))
-        assert all(r == results[0] for r in results)
-        assert results[0] == [True, False, True, True]
+class TestHighlyCompositeNumbers:
+    def test_matches_divisor_count_sieve(self):
+        # strict records of tau from a paired-divisor sieve: each d <= sqrt(n)
+        # counts itself and its cofactor n // d
+        limit = 10**6
+        tau = np.zeros(limit + 1, dtype=np.int64)
+        for d in range(1, isqrt(limit) + 1):
+            tau[d * d] += 1
+            tau[d * d + d :: d] += 2
+        best_below = np.maximum.accumulate(tau)
+        records = [1] + (np.nonzero(tau[2:] > best_below[1:-1])[0] + 2).tolist()
+        assert highly_composite_numbers(limit) == records
+
+    @pytest.mark.parametrize("exp,count", [(7, 47), (12, 95), (18, 156)])
+    def test_counts(self, exp, count):
+        # OEIS A002182
+        assert len(highly_composite_numbers(10**exp)) == count
+
+    def test_small_limits(self):
+        assert highly_composite_numbers(0) == []
+        assert highly_composite_numbers(1) == [1]

@@ -14,50 +14,50 @@ from .conftest import distinct_sets
 
 
 class TestClassify:
-    def test_perfect(self, sieve_10k):
-        flags = classify(solve(36, sieve_10k), sieve_10k)
+    def test_perfect(self):
+        flags = classify(solve(36))
         assert flags.perfect and flags.display_class == "perfect"
 
-    def test_prime(self, sieve_10k):
-        flags = classify(solve(53, sieve_10k), sieve_10k)
+    def test_prime(self):
+        flags = classify(solve(53))
         assert flags.prime and flags.display_class == "prime"
 
-    def test_near_perfect(self, sieve_10k):
-        solution = solve(50, sieve_10k)
-        flags = classify(solution, sieve_10k)
+    def test_near_perfect(self):
+        solution = solve(50)
+        flags = classify(solution)
         assert flags.near_perfect and flags.display_class == "near_perfect"
         assert round(solution.efficiency, 2) == 0.95
 
-    def test_perfect_and_prime_both_set(self, sieve_10k):
-        flags = classify(solve(3, sieve_10k), sieve_10k)
+    def test_perfect_and_prime_both_set(self):
+        flags = classify(solve(3))
         assert flags.perfect and flags.prime
         assert flags.display_class == "perfect"
 
-    def test_highly_composite_is_lowest_priority(self, sieve_10k):
-        flags = classify(solve(60, sieve_10k), sieve_10k)
+    def test_highly_composite_is_lowest_priority(self):
+        flags = classify(solve(60))
         assert flags.highly_composite and not flags.near_perfect
         assert flags.display_class == "highly_composite"
 
-    def test_plain(self, sieve_10k):
-        flags = classify(solve(9, sieve_10k), sieve_10k)
+    def test_plain(self):
+        flags = classify(solve(9))
         assert flags == ClassificationFlags(False, False, False, False)
         assert flags.display_class == "plain"
 
-    def test_exact_efficiency_one_is_perfect_not_near(self, sieve_10k):
-        flags = classify(solve(55, sieve_10k), sieve_10k)
+    def test_exact_efficiency_one_is_perfect_not_near(self):
+        flags = classify(solve(55))
         assert flags.perfect and not flags.near_perfect
 
-    def test_efficiency_exactly_point_nine_not_near(self, sieve_10k):
+    def test_efficiency_exactly_point_nine_not_near(self):
         # N=45 has bound exactly 10.0, so efficiency is exactly 0.9
-        solution = solve(45, sieve_10k)
+        solution = solve(45)
         assert solution.efficiency == 0.9
-        assert not classify(solution, sieve_10k).near_perfect
+        assert not classify(solution).near_perfect
 
-    def test_perfect_never_decided_by_float(self, sieve_10k):
+    def test_perfect_never_decided_by_float(self):
         # every perfect flag must satisfy the exact integer identity
         for n in range(1, 2001):
-            flags = classify(solve(n, sieve_10k), sieve_10k)
-            s = solve(n, sieve_10k)
+            flags = classify(solve(n))
+            s = solve(n)
             assert flags.perfect == (2 * n == s.n_max * (s.n_max - 1) and s.n_max % 2 == 1)
 
 
@@ -177,15 +177,15 @@ class TestPerfectValues:
             assert n_input == triangular(n)
             assert (n - 1) % 2 == 0  # even-indexed triangular numbers
 
-    def test_matches_classify_to_10k(self, sieve_10k):
+    def test_matches_classify_to_10k(self):
         expected = {n_input for n_input, _ in perfect_values(10_000)}
         got = {n for n in range(1, 10_001)
-               if classify(solve(n, sieve_10k), sieve_10k).perfect}
+               if classify(solve(n)).perfect}
         assert got == expected
 
-    def test_perfect_means_unique_distribution(self, sieve_10k):
+    def test_perfect_means_unique_distribution(self):
         for n_input, n in perfect_values(10_000):
-            s = solve(n_input, sieve_10k)
+            s = solve(n_input)
             assert s.n_max == n
             assert s.surplus == 0
             assert count_distributions(n, n_input).count == 1
@@ -196,10 +196,10 @@ class TestPrimeFloor:
         assert solve(2).n_max == 2
         assert solve(3).n_max == 3
 
-    def test_collapse_from_five_up(self, sieve_10k):
+    def test_collapse_from_five_up(self):
         for p in range(5, 10_001):
-            if is_prime(p, sieve_10k):
-                assert solve(p, sieve_10k).n_max == 1
+            if is_prime(p):
+                assert solve(p).n_max == 1
 
     def test_sharp_threshold(self):
         # the collapse starts exactly at 5; nothing special happens at 17

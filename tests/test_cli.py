@@ -111,6 +111,14 @@ class TestTableCommand:
         assert code == cli.EXIT_USAGE
         assert "range" in err
 
+    def test_rows_past_int32(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "2147483647", "2147483648", "--format", "csv")
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 2
+        assert rows[0].startswith("2147483647,") and rows[0].endswith(",prime")  # 2^31 - 1
+        assert rows[1].startswith("2147483648,")
+
 
 class TestClassifyCommand:
     def test_json(self, capsys):
@@ -123,6 +131,13 @@ class TestClassifyCommand:
         _, out, _ = run_cli(capsys, "classify", "60")
         assert "highly_composite=True" in out
         assert "display_class=highly_composite" in out
+
+    def test_past_int32(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "2147483648", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["n_input"] == 2**31
+        assert payload["near_perfect"] is True  # n_max = 2^16
 
 
 class TestCountCommand:
@@ -209,6 +224,14 @@ class TestExitCodes:
     def test_distinct_codes(self):
         assert len({cli.EXIT_OK, cli.EXIT_MISMATCH, cli.EXIT_USAGE,
                     cli.EXIT_DOMAIN, cli.EXIT_IO}) == 5
+
+    def test_programming_error_is_not_a_domain_error(self, monkeypatch):
+        def broken_solve(n):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(cli, "solve", broken_solve)
+        with pytest.raises(ValueError, match="bug"):
+            cli.main(["solve", "60"])
 
 
 def test_feasibility_guard_matches_cli_expectations():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from baskets.arith import build_sieve, divisors, triangular
+from baskets.arith import divisors, triangular
 from baskets.solver import (
     InfeasibleError,
     PearDistribution,
@@ -94,19 +94,13 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(-60)
 
-    def test_sieve_path_matches(self):
-        sieve = build_sieve(5000)
-        for n in range(1, 5001):
-            assert solve(n, sieve) == solve(n)
-
     def test_invariants_to_5000(self):
-        sieve = build_sieve(5000)
         for n in range(1, 5001):
-            s = solve(n, sieve)
+            s = solve(n)
             assert n % s.n_max == 0
             assert s.apples_per_basket == n // s.n_max
             assert feasible(s.n_max, n)
-            for d in divisors(n, sieve).divisors:
+            for d in divisors(n).divisors:
                 if d > s.n_max:
                     assert triangular(d) > n
             assert s.surplus == n - triangular(s.n_max)

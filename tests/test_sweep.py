@@ -33,12 +33,11 @@ class TestComputeRecords:
         assert (record.n_input, record.n_max) == (1, 1)
 
     def test_matches_single_n_path(self):
-        sieve = build_sieve(2000)
-        data = compute_records(2000, sieve=sieve)
+        data = compute_records(2000)
         for n in range(1, 2001):
             record = data.record(n)
-            solution = solve(n, sieve)
-            flags = classify(solution, sieve)
+            solution = solve(n)
+            flags = classify(solution)
             assert record.n_max == solution.n_max, n
             assert record.flags == flags, n
 
@@ -68,14 +67,13 @@ class TestComputeRecords:
     def test_random_sample_consistency_at_million(self):
         import random
 
-        sieve = build_sieve(1_000_000)
-        data = compute_records(1_000_000, sieve=sieve)
+        data = compute_records(1_000_000)
         rng = random.Random(20240601)
         for n in rng.sample(range(1, 1_000_001), 1000):
             record = data.record(n)
-            solution = solve(n, sieve)
+            solution = solve(n)
             assert record.n_max == solution.n_max, n
-            assert record.flags == classify(solution, sieve), n
+            assert record.flags == classify(solution), n
 
     def test_prime_floor_density_10k(self):
         data = compute_records(10_000)
