@@ -75,14 +75,36 @@ def count_distributions(n: int, n_input: int) -> DistributionCount:
     return DistributionCount(n_baskets=n, n_input=n_input, count=ways[surplus])
 
 
-def _ascending_choices(slots: int, lowest: int, remaining: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _ascending_choices(slots: int, total: int) -> Iterator[tuple[int, ...]]:
+    """Strictly increasing tuples of `slots` non-negative integers summing to
+    `total`, in lexicographic order; `total` must be at least T(slots).
+
+    Depth-first over an explicit stack of range iterators that share one
+    prefix list, so memory is O(slots) at any depth.  The first of k values
+    still to place, v, has k-1 distinct values above it, which sum to at
+    least (k-1)(v+1) + T(k-1); so v <= (remaining - T(k)) // k.  Under that
+    cap every branch reaches a valid leaf, and each result costs O(slots).
+    """
     if slots == 1:
-        if remaining >= lowest:
-            yield prefix + (remaining,)
+        yield (total,)
         return
-    # all `slots` remaining values are >= v, so v can be at most remaining // slots
-    for v in range(lowest, remaining // slots + 1):
-        yield from _ascending_choices(slots - 1, v + 1, remaining - v, prefix + (v,))
+    prefix: list[int] = []
+    remaining = total
+    stack = [iter(range((total - triangular(slots)) // slots + 1))]
+    while stack:
+        v = next(stack[-1], None)
+        if len(prefix) == len(stack):  # retire this level's previous value
+            remaining += prefix.pop()
+        if v is None:
+            stack.pop()
+            continue
+        prefix.append(v)
+        remaining -= v
+        left = slots - len(prefix)
+        if left == 1:
+            yield (*prefix, remaining)
+        else:
+            stack.append(iter(range(v + 1, (remaining - triangular(left)) // left + 1)))
 
 
 def enumerate_distributions(n: int, n_input: int, limit: int) -> list[PearDistribution]:
@@ -97,7 +119,7 @@ def enumerate_distributions(n: int, n_input: int, limit: int) -> list[PearDistri
         raise InfeasibleError(
             f"{n} baskets cannot hold distinct pear counts summing to {n_input}"
         )
-    chosen = islice(_ascending_choices(n, 0, n_input, ()), limit)
+    chosen = islice(_ascending_choices(n, n_input), limit)
     return [PearDistribution(counts) for counts in chosen]
 
 

@@ -116,11 +116,11 @@ def test_criterion_4_worked_example():
 
 def test_criterion_5_oracle_equivalence():
     started = time.perf_counter()
-    mismatches = verify_range(500)
+    mismatches = verify_range(2000)
     elapsed = time.perf_counter() - started
     assert mismatches == []
     assert elapsed < 300.0, f"oracle run took {elapsed:.2f}s"
-    print(f"\ncriterion 5 (brute force == solver, N<=500): PASS ({elapsed:.2f}s)")
+    print(f"\ncriterion 5 (brute force == solver, N<=2000): PASS ({elapsed:.2f}s)")
 
 
 def test_criterion_6_counting_correctness():

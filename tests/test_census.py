@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from baskets.arith import is_prime, triangular
@@ -143,6 +145,27 @@ class TestEnumerateDistributions:
         for dist in enumerate_distributions(4, 30, 10**9):
             assert sum(dist.counts) == 30
             assert len(set(dist.counts)) == 4
+
+    def test_matches_exhaustive_listing(self):
+        for n in range(1, 7):
+            for surplus in range(25):
+                n_input = triangular(n) + surplus
+                if n_input < 1:
+                    continue
+                got = [d.counts for d in enumerate_distributions(n, n_input, 10**9)]
+                assert got == list(distinct_sets(n_input, n)), (n, n_input)
+                assert len(got) == count_distributions(n, n_input).count
+
+    def test_limit_above_count_stops_at_the_count(self):
+        started = time.perf_counter()
+        got = enumerate_distributions(40, triangular(40) + 10, 43)
+        elapsed = time.perf_counter() - started
+        assert len(got) == 42 == count_distributions(40, triangular(40) + 10).count
+        assert elapsed < 2.0, f"whole tree took {elapsed:.2f}s"
+
+    def test_deep_enumeration_has_no_recursion_limit(self):
+        (first,) = enumerate_distributions(1250, 10**6, 1)
+        assert first.counts == solve(10**6).canonical.counts
 
     def test_errors(self):
         with pytest.raises(InfeasibleError):

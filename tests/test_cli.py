@@ -216,7 +216,7 @@ class TestOracleCommand:
 
     def test_guard_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
-            cli.main(["oracle", "--limit", "5000"])
+            cli.main(["oracle", "--limit", "10001"])
         assert err.value.code == cli.EXIT_USAGE
 
 
