@@ -2,8 +2,8 @@
 numbers, triangular numbers.
 
 Single-N queries use trial division and the highly-composite generator; none
-of them needs a sieve.  The sweep builds one :class:`DivisorSieve` for the
-prime flags of its whole range.
+of them needs a sieve.  The sweep builds one :class:`DivisorSieve`, a bool
+sieve of Eratosthenes, for the prime flags of its whole range.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from math import isqrt
 
 import numpy as np
 
-# Hard cap on sieve size; beyond this the spf table no longer fits int32.
+# Hard cap on sieve size.  Below 2^31 every n_max fits in a uint16: an answer
+# of 65536 needs 65536 | N and N >= 65536*65535/2, and the first such N is 2^31.
 SIEVE_CEILING = 2**31 - 1
 
 
@@ -22,21 +23,15 @@ class CapacityError(ValueError):
 
 
 class DivisorSieve:
-    """Smallest-prime-factor table for every integer in [2, limit].
+    """Prime flags for every integer in [0, limit].
 
-    ``spf[n]`` is the smallest prime dividing ``n``; ``spf[n] == n`` exactly
-    when ``n`` is prime.  Instances are immutable after construction and safe
-    to share across threads.
+    ``prime[n]`` is True exactly when ``n`` is prime.  Instances are immutable
+    after construction and safe to share across threads.
     """
 
-    def __init__(self, limit: int, spf: np.ndarray):
+    def __init__(self, limit: int, prime: np.ndarray):
         self.limit = limit
-        self.spf = spf
-
-    def smallest_prime_factor(self, n: int) -> int:
-        if not 2 <= n <= self.limit:
-            raise ValueError(f"n={n} outside sieve range [2, {self.limit}]")
-        return int(self.spf[n])
+        self.prime = prime
 
     def highly_composite_table(self) -> np.ndarray:
         """Boolean table of divisor-count record holders over [0, limit]."""
@@ -46,19 +41,15 @@ class DivisorSieve:
 
 
 def build_sieve(limit: int) -> DivisorSieve:
-    """Build a smallest-prime-factor sieve covering [2, limit]."""
+    """Sieve of Eratosthenes: prime flags covering [0, limit]."""
     if limit < 2 or limit > SIEVE_CEILING:
         raise CapacityError(f"sieve limit must be in [2, {SIEVE_CEILING}], got {limit}")
-    spf = np.zeros(limit + 1, dtype=np.int32)
+    prime = np.ones(limit + 1, dtype=bool)
+    prime[:2] = False
     for p in range(2, isqrt(limit) + 1):
-        if spf[p] == 0:
-            spf[p] = p
-            tail = spf[p * p :: p]
-            tail[tail == 0] = p
-    # anything still unset in [2, limit] is a prime above sqrt(limit)
-    unset = np.nonzero(spf[2:] == 0)[0] + 2
-    spf[unset] = unset
-    return DivisorSieve(limit, spf)
+        if prime[p]:
+            prime[p * p :: p] = False
+    return DivisorSieve(limit, prime)
 
 
 @dataclass(frozen=True)

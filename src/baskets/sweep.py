@@ -18,11 +18,12 @@ from typing import Iterator
 import numpy as np
 
 from .arith import DivisorSieve, build_sieve
-from .census import NEAR_PERFECT_THRESHOLD, ClassificationFlags
+from .census import NEAR_PERFECT_THRESHOLD, ClassificationFlags, perfect_values
 
 SMALL_VIEW_LIMIT = 10_000
 SMALL_VIEW_STRIDE = 10
 FULL_VIEW_STRIDE = 997
+MASK_BLOCK = 1 << 16  # entries per block of the near-perfect mask
 
 SMALL_VIEW_FILES = ("nmax_sampled.csv", "nmax_perfect.csv", "nmax_primes_10k.csv")
 FULL_VIEW_FILES = ("nmax_1m_sampled.csv", "nmax_1m_perfect.csv", "nmax_primes_1m.csv")
@@ -118,7 +119,8 @@ def compute_records(limit: int, sieve: DivisorSieve | None = None,
 
     workers = thread_count or os.cpu_count() or 1
     workers = min(workers, limit)
-    n_max = np.zeros(limit + 1, dtype=np.int64)
+    # exact: below 2^31 every answer is under 65536 (see arith.SIEVE_CEILING)
+    n_max = np.zeros(limit + 1, dtype=np.uint16)
     if workers == 1:
         _fill_n_max(n_max, 1, limit)
     else:
@@ -133,15 +135,19 @@ def compute_records(limit: int, sieve: DivisorSieve | None = None,
             for job in jobs:
                 job.result()
 
-    ns = np.arange(limit + 1, dtype=np.int64)
-    perfect = (2 * ns == n_max * (n_max - 1)) & (n_max % 2 == 1)
+    perfect = np.zeros(limit + 1, dtype=bool)
+    perfect[[n for n, _ in perfect_values(limit)]] = True
 
-    prime = sieve.spf[: limit + 1] == ns
-    prime[:2] = False
+    prime = sieve.prime[: limit + 1]
 
-    # same float expression as solver.pear_bound, elementwise
-    bound = (1.0 + np.sqrt((1 + 8 * ns).astype(np.float64))) / 2.0
-    near_perfect = (n_max / bound > NEAR_PERFECT_THRESHOLD) & ~perfect
+    # same float expression as solver.pear_bound, elementwise, one block at a
+    # time so no whole-range int64 or float64 temporary exists
+    near_perfect = np.empty(limit + 1, dtype=bool)
+    for lo in range(0, limit + 1, MASK_BLOCK):
+        hi = min(lo + MASK_BLOCK, limit + 1)
+        ns = np.arange(lo, hi, dtype=np.int64)
+        bound = (1.0 + np.sqrt((1 + 8 * ns).astype(np.float64))) / 2.0
+        near_perfect[lo:hi] = (n_max[lo:hi] / bound > NEAR_PERFECT_THRESHOLD) & ~perfect[lo:hi]
 
     highly_composite = sieve.highly_composite_table()[: limit + 1]
 

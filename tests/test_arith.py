@@ -27,34 +27,33 @@ def brute_divisor_lists(limit):
 class TestBuildSieve:
     def test_small_table(self):
         sieve = build_sieve(10)
-        assert {n: int(sieve.spf[n]) for n in range(2, 11)} == {
-            2: 2, 3: 3, 4: 2, 5: 5, 6: 2, 7: 7, 8: 2, 9: 3, 10: 2,
-        }
+        assert sieve.prime.dtype == bool
+        assert [n for n in range(11) if sieve.prime[n]] == [2, 3, 5, 7]
 
     def test_smallest_case(self):
         sieve = build_sieve(2)
         assert sieve.limit == 2
-        assert int(sieve.spf[2]) == 2
+        assert sieve.prime.tolist() == [False, False, True]
 
     @pytest.mark.parametrize("limit", [1, 0, -3, SIEVE_CEILING + 1])
     def test_capacity_errors(self, limit):
         with pytest.raises(CapacityError):
             build_sieve(limit)
 
-    def test_spf_invariants(self, sieve_10k):
-        spf = sieve_10k.spf
-        for n in range(2, 10_001):
-            p = int(spf[n])
-            assert n % p == 0
-            assert is_prime(p)  # trial-division path
-            assert (p == n) == is_prime(n)
+    def test_prime_flags_match_trial_division(self, sieve_10k):
+        prime = sieve_10k.prime
+        assert len(prime) == 10_001
+        for n in range(10_001):
+            assert bool(prime[n]) == is_prime(n), n
 
-    def test_accessor_bounds(self, sieve_10k):
-        assert sieve_10k.smallest_prime_factor(9973) == 9973
-        with pytest.raises(ValueError):
-            sieve_10k.smallest_prime_factor(1)
-        with pytest.raises(ValueError):
-            sieve_10k.smallest_prime_factor(10_001)
+    def test_ceiling_keeps_answers_in_uint16(self):
+        # an answer of 65536 needs 65536 | N and N >= 65536*65535/2; the
+        # smallest such N is 2^31, just past the ceiling.  Larger answers
+        # need an even larger N.
+        floor = 65536 * 65535 // 2
+        first = -(-floor // 65536) * 65536
+        assert first == 2**31 > SIEVE_CEILING
+        assert triangular(65537) > SIEVE_CEILING
 
 
 class TestDivisors:

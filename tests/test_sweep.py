@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from baskets.arith import build_sieve
 from baskets.census import classify, perfect_values
 from baskets.solver import solve
 from baskets.sweep import (
+    MASK_BLOCK,
     SweepConfig,
     SweepData,
     compute_records,
@@ -74,6 +77,29 @@ class TestComputeRecords:
             solution = solve(n)
             assert record.n_max == solution.n_max, n
             assert record.flags == classify(solution), n
+
+    def test_lean_columns_at_million(self):
+        # uint16 answers, bool columns and blockwise masks: about 7 bytes per N,
+        # with no whole-range int64 or float64 temporary
+        tracemalloc.start()
+        try:
+            data = compute_records(1_000_000, thread_count=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data.n_max.dtype == np.uint16
+        assert peak <= 10 * 1_000_000
+
+    @pytest.mark.parametrize("limit", [MASK_BLOCK - 1, MASK_BLOCK, MASK_BLOCK + 1,
+                                       3 * MASK_BLOCK + 5])
+    def test_masks_across_block_edges(self, limit):
+        data = compute_records(limit)
+        ns = np.arange(limit + 1, dtype=np.int64)
+        bound = (1.0 + np.sqrt((1 + 8 * ns).astype(np.float64))) / 2.0
+        reference = (data.n_max / bound > 0.9) & ~data.perfect
+        assert np.array_equal(data.near_perfect, reference)
+        perfect_ns = [n for n, _ in perfect_values(limit)]
+        assert np.nonzero(data.perfect)[0].tolist() == perfect_ns
 
     def test_prime_floor_density_10k(self):
         data = compute_records(10_000)
