@@ -23,7 +23,7 @@ from .census import NEAR_PERFECT_THRESHOLD, ClassificationFlags, perfect_values
 SMALL_VIEW_LIMIT = 10_000
 SMALL_VIEW_STRIDE = 10
 FULL_VIEW_STRIDE = 997
-MASK_BLOCK = 1 << 16  # entries per block of the near-perfect mask
+MASK_BLOCK = 1 << 16  # entries per block of the near-perfect mask and rows per CSV write
 
 SMALL_VIEW_FILES = ("nmax_sampled.csv", "nmax_perfect.csv", "nmax_primes_10k.csv")
 FULL_VIEW_FILES = ("nmax_1m_sampled.csv", "nmax_1m_perfect.csv", "nmax_primes_1m.csv")
@@ -59,6 +59,8 @@ class SweepSummary:
     prime_count: int
     elapsed_seconds: float
     paths: tuple[Path, ...]
+    # seconds of each phase, keyed "compute_records" and "emit_datasets"
+    phase_seconds: dict[str, float]
 
 
 class SweepData:
@@ -154,13 +156,37 @@ def compute_records(limit: int, sieve: DivisorSieve | None = None,
     return SweepData(limit, n_max, perfect, prime, near_perfect, highly_composite)
 
 
+def _format_rows(ns: np.ndarray, n_max: np.ndarray) -> bytes:
+    """The "N,nmax" lines of one block of rows, formatted without a row loop.
+
+    Each column is written as a grid of right-aligned ASCII digits; the cells
+    of leading zeros are masked out and the rest read off row by row.
+    """
+    columns = (ns, n_max)
+    widths = [len(str(int(column.max()))) for column in columns]
+    grid = np.empty((len(ns), sum(widths) + 2), dtype=np.uint8)
+    keep = np.ones(grid.shape, dtype=bool)
+    start = 0
+    for column, width, separator in zip(columns, widths, b",\n"):
+        rest = column.copy()
+        for place in range(start + width - 1, start - 1, -1):
+            grid[:, place] = rest % 10 + 48
+            keep[:, place] = rest > 0
+            rest //= 10
+        keep[:, start + width - 1] = True  # zero is written as "0"
+        grid[:, start + width] = separator
+        start += width + 1
+    return grid[keep].tobytes()
+
+
 def _write_series(path: Path, ns: np.ndarray, n_max: np.ndarray) -> None:
     """Atomically write one N,nmax series (temp file, then rename)."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", newline="") as f:
-            f.write("N,nmax\n")
-            f.writelines(f"{n},{m}\n" for n, m in zip(ns.tolist(), n_max.tolist()))
+        with open(tmp, "wb") as f:
+            f.write(b"N,nmax\n")
+            for lo in range(0, len(ns), MASK_BLOCK):
+                f.write(_format_rows(ns[lo : lo + MASK_BLOCK], n_max[lo : lo + MASK_BLOCK]))
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError(f"failed writing dataset {path}: {exc}") from exc
@@ -174,7 +200,8 @@ def _view_series(data: SweepData, view_limit: int, stride: int):
     sampled = np.arange(stride, view_limit + 1, stride, dtype=np.int64)
     flags_to = view_limit + 1
     perfect = np.nonzero(data.perfect[:flags_to])[0]
-    primes = np.nonzero(data.prime[:flags_to] & (data.n_max[:flags_to] == 1))[0]
+    primes = np.flatnonzero(data.prime[:flags_to])
+    primes = primes[data.n_max[primes] == 1]  # 2 and 3 are primes off the floor
     return sampled, perfect, primes
 
 
@@ -207,11 +234,15 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
     """Compute records for [1, config.limit], emit datasets, report counts."""
     started = time.perf_counter()
     data = compute_records(config.limit, thread_count=config.thread_count)
+    computed = time.perf_counter()
     paths = emit_datasets(data, config)
+    emitted = time.perf_counter()
     return SweepSummary(
         record_count=data.limit,
         perfect_count=int(data.perfect.sum()),
         prime_count=int(data.prime.sum()),
         elapsed_seconds=time.perf_counter() - started,
         paths=tuple(paths),
+        phase_seconds={"compute_records": computed - started,
+                       "emit_datasets": emitted - computed},
     )

@@ -10,12 +10,39 @@ from baskets.sweep import (
     MASK_BLOCK,
     SweepConfig,
     SweepData,
+    _write_series,
     compute_records,
     emit_datasets,
     run_sweep,
 )
 
 from .conftest import read_series
+
+
+def reference_csv(ns, n_max) -> bytes:
+    """The N,nmax file for the given rows, one f-string per row."""
+    lines = ["N,nmax\n"] + [f"{n},{m}\n" for n, m in zip(ns.tolist(), n_max.tolist())]
+    return "".join(lines).encode("ascii")
+
+
+def reference_datasets(data, limit) -> dict[str, bytes]:
+    """Every dataset file for a sweep to `limit`, by name, at default strides."""
+    views = [(min(limit, 10_000), 10, ("nmax_sampled.csv", "nmax_perfect.csv",
+                                        "nmax_primes_10k.csv"))]
+    if limit > 10_000:
+        views.append((limit, 997, ("nmax_1m_sampled.csv", "nmax_1m_perfect.csv",
+                                   "nmax_primes_1m.csv")))
+    files = {}
+    for view_limit, stride, names in views:
+        upto = view_limit + 1
+        series = (
+            np.arange(stride, upto, stride),
+            np.nonzero(data.perfect[:upto])[0],
+            np.nonzero(data.prime[:upto] & (data.n_max[:upto] == 1))[0],
+        )
+        for name, ns in zip(names, series):
+            files[name] = reference_csv(ns, data.n_max[ns])
+    return files
 
 
 class TestConfig:
@@ -167,6 +194,25 @@ class TestEmitDatasets:
         assert text.endswith("\n")
         assert '"' not in text and "\r" not in text
 
+    @pytest.mark.parametrize("limit", [1, 2, 3, 4, 5, 6, 10_000, 10_001, 2_000_000])
+    def test_bytes_match_reference_formatter(self, tmp_path, limit):
+        # 1-6: series of no rows (header only) or one row; 10^4 and 10^4 + 1: the
+        # edge between the two views; 2*10^6: 148,931 prime rows, three blocks
+        data = compute_records(limit)
+        paths = emit_datasets(data, SweepConfig(limit=limit, output_dir=tmp_path))
+        written = {p.name: p.read_bytes() for p in paths}
+        assert written == reference_datasets(data, limit)
+
+    @pytest.mark.parametrize("rows", [0, 1, MASK_BLOCK - 1, MASK_BLOCK, MASK_BLOCK + 1])
+    def test_series_formatter(self, tmp_path, rows):
+        # N from 0 to past 2^32, so widths change inside and between blocks
+        ns = np.arange(rows, dtype=np.int64) ** 2
+        n_max = np.resize(np.array([0, 9, 10, 99, 100, 65535], dtype=np.uint16), rows)
+        path = tmp_path / "series.csv"
+        _write_series(path, ns, n_max)
+        assert path.read_bytes() == reference_csv(ns, n_max)
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_empty_records_rejected(self, tmp_path):
         empty = SweepData(0, *(np.zeros(1, dtype=np.int64) for _ in range(5)))
         config = SweepConfig(limit=1, output_dir=tmp_path)
@@ -208,6 +254,10 @@ class TestRunSweep:
         assert summary.prime_count == 669  # primes up to 5000
         assert summary.elapsed_seconds > 0
         assert len(summary.paths) == 3
+        phases = summary.phase_seconds
+        assert set(phases) == {"compute_records", "emit_datasets"}
+        assert all(seconds >= 0 for seconds in phases.values())
+        assert sum(phases.values()) <= summary.elapsed_seconds
 
     def test_byte_identical_across_thread_counts(self, tmp_path):
         outputs = {}
