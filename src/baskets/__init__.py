@@ -33,7 +33,6 @@ from .solver import (
 from .sweep import (
     SweepConfig,
     SweepData,
-    SweepRecord,
     SweepSummary,
     compute_records,
     emit_datasets,
@@ -53,7 +52,6 @@ __all__ = [
     "Solution",
     "SweepConfig",
     "SweepData",
-    "SweepRecord",
     "SweepSummary",
     "brute_force_n_max",
     "build_sieve",

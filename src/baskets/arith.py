@@ -2,8 +2,10 @@
 numbers, triangular numbers.
 
 Single-N queries use trial division and the highly-composite generator; none
-of them needs a sieve.  The sweep builds one :class:`DivisorSieve`, a bool
-sieve of Eratosthenes, for the prime flags of its whole range.
+of them needs a sieve, and the sweep reads its primes off its answers.
+:func:`build_sieve` (a bool sieve of Eratosthenes) and
+:meth:`DivisorSieve.highly_composite_table` serve no command; they stay
+because the benchmark's traced sweep run calls them.
 """
 
 from __future__ import annotations
@@ -13,13 +15,13 @@ from math import isqrt
 
 import numpy as np
 
-# Hard cap on sieve size.  Below 2^31 every n_max fits in a uint16: an answer
+# Hard cap on sweep and sieve size.  Below 2^31 every n_max fits in a uint16: an answer
 # of 65536 needs 65536 | N and N >= 65536*65535/2, and the first such N is 2^31.
 SIEVE_CEILING = 2**31 - 1
 
 
 class CapacityError(ValueError):
-    """Requested sieve limit is outside the supported range."""
+    """Requested sweep or sieve limit is outside the supported range."""
 
 
 class DivisorSieve:

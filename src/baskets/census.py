@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
-from .arith import is_highly_composite, is_prime, triangular
+from .arith import is_highly_composite, triangular
 from .solver import InfeasibleError, PearDistribution, Solution, feasible
 
 NEAR_PERFECT_THRESHOLD = 0.9
@@ -41,13 +41,16 @@ def classify(solution: Solution) -> ClassificationFlags:
     """Non-exclusive flags for one solved N.
 
     Perfect is decided in exact integers (2N = n(n-1) with n odd), never by
-    comparing efficiency against 1.0.
+    comparing efficiency against 1.0.  Prime is read off the answer, as the
+    sweep does: a composite N has its least divisor a <= sqrt(N), so
+    a(a-1)/2 < N and n_max >= a >= 2; a prime p > 3 has only the divisors 1
+    and p, with p(p-1)/2 > p, so n_max = 1; 2 and 3 are their own answers.
     """
     n, n_max = solution.n_input, solution.n_max
     perfect = 2 * n == n_max * (n_max - 1) and n_max % 2 == 1
     return ClassificationFlags(
         perfect=perfect,
-        prime=is_prime(n),
+        prime=n_max == 1 and n > 1 or n in (2, 3),
         near_perfect=solution.efficiency > NEAR_PERFECT_THRESHOLD and not perfect,
         highly_composite=is_highly_composite(n),
     )

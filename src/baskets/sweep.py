@@ -1,5 +1,10 @@
 """Batch computation of solutions for all N in [1, limit] and CSV emission.
 
+The sweep stores one column, the answer n_max as a uint16 for every N, and
+reads the rest off it: the N > 1 with answer 1 are exactly the primes of 5 or
+more (``census.classify`` gives the reason), and the perfect values come from
+``census.perfect_values``.
+
 The scatter datasets come in two views: a mid-scale view capped at 10^4 and a
 full-limit view (written only when the limit exceeds 10^4).  Each view gets a
 stride-sampled n_max series plus complete (unsampled) perfect-value and prime
@@ -13,27 +18,19 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
-from .arith import DivisorSieve, build_sieve
-from .census import NEAR_PERFECT_THRESHOLD, ClassificationFlags, perfect_values
+from .arith import SIEVE_CEILING, CapacityError, DivisorSieve
+from .census import perfect_values
 
 SMALL_VIEW_LIMIT = 10_000
 SMALL_VIEW_STRIDE = 10
 FULL_VIEW_STRIDE = 997
-MASK_BLOCK = 1 << 16  # entries per block of the near-perfect mask and rows per CSV write
+MASK_BLOCK = 1 << 16  # entries per block of the prime scan and rows per CSV write
 
 SMALL_VIEW_FILES = ("nmax_sampled.csv", "nmax_perfect.csv", "nmax_primes_10k.csv")
 FULL_VIEW_FILES = ("nmax_1m_sampled.csv", "nmax_1m_perfect.csv", "nmax_primes_1m.csv")
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    n_input: int
-    n_max: int
-    flags: ClassificationFlags
 
 
 @dataclass(frozen=True)
@@ -64,34 +61,14 @@ class SweepSummary:
 
 
 class SweepData:
-    """Column-wise records for every N in [1, limit]; index 0 is unused."""
+    """The answer ``n_max[N]`` for every N in [1, limit]; index 0 is unused."""
 
-    def __init__(self, limit: int, n_max: np.ndarray, perfect: np.ndarray,
-                 prime: np.ndarray, near_perfect: np.ndarray,
-                 highly_composite: np.ndarray):
+    def __init__(self, limit: int, n_max: np.ndarray):
         self.limit = limit
         self.n_max = n_max
-        self.perfect = perfect
-        self.prime = prime
-        self.near_perfect = near_perfect
-        self.highly_composite = highly_composite
 
     def __len__(self) -> int:
         return self.limit
-
-    def record(self, n: int) -> SweepRecord:
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n={n} outside [1, {self.limit}]")
-        flags = ClassificationFlags(
-            perfect=bool(self.perfect[n]),
-            prime=bool(self.prime[n]),
-            near_perfect=bool(self.near_perfect[n]),
-            highly_composite=bool(self.highly_composite[n]),
-        )
-        return SweepRecord(n_input=n, n_max=int(self.n_max[n]), flags=flags)
-
-    def records(self) -> Iterator[SweepRecord]:
-        return (self.record(n) for n in range(1, self.limit + 1))
 
 
 def _fill_n_max(n_max: np.ndarray, lo: int, hi: int) -> None:
@@ -111,13 +88,16 @@ def _fill_n_max(n_max: np.ndarray, lo: int, hi: int) -> None:
 
 def compute_records(limit: int, sieve: DivisorSieve | None = None,
                     thread_count: int | None = None) -> SweepData:
-    """Solve and classify every N in [1, limit]."""
+    """Solve every N in [1, limit] into one uint16 column, 2 bytes per N.
+
+    Primes and perfect values are not stored: the emitters read them off
+    ``n_max`` and ``perfect_values``.  ``sieve`` is accepted and not read.
+    Raises CapacityError above ``SIEVE_CEILING``, before allocating anything.
+    """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    if sieve is None:
-        sieve = build_sieve(max(limit, 2))
-    elif sieve.limit < limit:
-        raise ValueError(f"sieve limit {sieve.limit} below sweep limit {limit}")
+    if limit > SIEVE_CEILING:
+        raise CapacityError(f"sweep limit must be at most {SIEVE_CEILING}, got {limit}")
 
     workers = thread_count or os.cpu_count() or 1
     workers = min(workers, limit)
@@ -137,23 +117,23 @@ def compute_records(limit: int, sieve: DivisorSieve | None = None,
             for job in jobs:
                 job.result()
 
-    perfect = np.zeros(limit + 1, dtype=bool)
-    perfect[[n for n, _ in perfect_values(limit)]] = True
+    return SweepData(limit, n_max)
 
-    prime = sieve.prime[: limit + 1]
 
-    # same float expression as solver.pear_bound, elementwise, one block at a
-    # time so no whole-range int64 or float64 temporary exists
-    near_perfect = np.empty(limit + 1, dtype=bool)
-    for lo in range(0, limit + 1, MASK_BLOCK):
-        hi = min(lo + MASK_BLOCK, limit + 1)
-        ns = np.arange(lo, hi, dtype=np.int64)
-        bound = (1.0 + np.sqrt((1 + 8 * ns).astype(np.float64))) / 2.0
-        near_perfect[lo:hi] = (n_max[lo:hi] / bound > NEAR_PERFECT_THRESHOLD) & ~perfect[lo:hi]
+def _floor_masks(n_max: np.ndarray, limit: int):
+    """(lo, mask) for each block of [2, limit]: mask[i] is True iff N = lo + i
+    has answer 1, that is iff N is a prime of 5 or more.
 
-    highly_composite = sieve.highly_composite_table()[: limit + 1]
+    Block by block, so no whole-range temporary exists.
+    """
+    for lo in range(2, limit + 1, MASK_BLOCK):
+        yield lo, n_max[lo : min(lo + MASK_BLOCK, limit + 1)] == 1
 
-    return SweepData(limit, n_max, perfect, prime, near_perfect, highly_composite)
+
+def _floor_primes(n_max: np.ndarray, limit: int) -> np.ndarray:
+    """Every prime in [5, limit], ascending."""
+    blocks = [np.flatnonzero(mask) + lo for lo, mask in _floor_masks(n_max, limit)]
+    return np.concatenate([np.empty(0, dtype=np.int64), *blocks])
 
 
 def _format_rows(ns: np.ndarray, n_max: np.ndarray) -> bytes:
@@ -198,11 +178,8 @@ def _write_series(path: Path, ns: np.ndarray, n_max: np.ndarray) -> None:
 def _view_series(data: SweepData, view_limit: int, stride: int):
     """(sampled, perfect, primes) index arrays for one view, ascending N."""
     sampled = np.arange(stride, view_limit + 1, stride, dtype=np.int64)
-    flags_to = view_limit + 1
-    perfect = np.nonzero(data.perfect[:flags_to])[0]
-    primes = np.flatnonzero(data.prime[:flags_to])
-    primes = primes[data.n_max[primes] == 1]  # 2 and 3 are primes off the floor
-    return sampled, perfect, primes
+    perfect = np.array([n for n, _ in perfect_values(view_limit)], dtype=np.int64)
+    return sampled, perfect, _floor_primes(data.n_max, view_limit)
 
 
 def emit_datasets(data: SweepData, config: SweepConfig) -> list[Path]:
@@ -237,10 +214,12 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
     computed = time.perf_counter()
     paths = emit_datasets(data, config)
     emitted = time.perf_counter()
+    floor_primes = sum(int(np.count_nonzero(mask))
+                       for _, mask in _floor_masks(data.n_max, data.limit))
     return SweepSummary(
         record_count=data.limit,
-        perfect_count=int(data.perfect.sum()),
-        prime_count=int(data.prime.sum()),
+        perfect_count=len(perfect_values(data.limit)),
+        prime_count=floor_primes + sum(p <= data.limit for p in (2, 3)),
         elapsed_seconds=time.perf_counter() - started,
         paths=tuple(paths),
         phase_seconds={"compute_records": computed - started,

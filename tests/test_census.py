@@ -55,6 +55,14 @@ class TestClassify:
         assert solution.efficiency == 0.9
         assert not classify(solution).near_perfect
 
+    def test_prime_matches_trial_division(self, monkeypatch):
+        # prime is read off n_max; is_prime's trial division is the arbiter.
+        # The highly composite flag is stubbed out: it is not under test and
+        # would take most of the time.
+        monkeypatch.setattr("baskets.census.is_highly_composite", lambda n: False)
+        for n in [*range(1, 20_001), 2047, 2_147_483_647, 3_215_031_751]:
+            assert classify(solve(n)).prime == is_prime(n), n
+
     def test_perfect_never_decided_by_float(self):
         # every perfect flag must satisfy the exact integer identity
         for n in range(1, 2001):

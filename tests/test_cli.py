@@ -196,6 +196,14 @@ class TestSweepCommand:
             cli.main(["sweep", "--limit", "0"])
         assert err.value.code == cli.EXIT_USAGE
 
+    def test_limit_past_ceiling_is_domain_error(self, capsys, tmp_path):
+        out_dir = tmp_path / "datasets"
+        code, out, err = run_cli(capsys, "sweep", "--limit", "2147483648",
+                                 "--out", str(out_dir))
+        assert code == cli.EXIT_DOMAIN
+        assert "error:" in err and out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_output_is_io_error(self, capsys, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")

@@ -10,6 +10,7 @@ from baskets.sweep import (
     MASK_BLOCK,
     SweepConfig,
     SweepData,
+    _floor_primes,
     _write_series,
     compute_records,
     emit_datasets,
@@ -37,8 +38,8 @@ def reference_datasets(data, limit) -> dict[str, bytes]:
         upto = view_limit + 1
         series = (
             np.arange(stride, upto, stride),
-            np.nonzero(data.perfect[:upto])[0],
-            np.nonzero(data.prime[:upto] & (data.n_max[:upto] == 1))[0],
+            np.array([n for n, _ in perfect_values(view_limit)], dtype=np.int64),
+            np.flatnonzero(data.n_max[2:upto] == 1) + 2,
         )
         for name, ns in zip(names, series):
             files[name] = reference_csv(ns, data.n_max[ns])
@@ -56,37 +57,16 @@ class TestConfig:
 
 
 class TestComputeRecords:
-    def test_single_record(self):
-        data = compute_records(1)
-        assert len(data) == 1
-        record = data.record(1)
-        assert (record.n_input, record.n_max) == (1, 1)
-
     def test_matches_single_n_path(self):
         data = compute_records(2000)
+        primes = set(_floor_primes(data.n_max, 2000).tolist()) | {2, 3}
+        perfect = {n for n, _ in perfect_values(2000)}
         for n in range(1, 2001):
-            record = data.record(n)
             solution = solve(n)
             flags = classify(solution)
-            assert record.n_max == solution.n_max, n
-            assert record.flags == flags, n
-
-    def test_record_bounds(self):
-        data = compute_records(10)
-        with pytest.raises(ValueError):
-            data.record(0)
-        with pytest.raises(ValueError):
-            data.record(11)
-
-    def test_records_iterator(self):
-        data = compute_records(50)
-        records = list(data.records())
-        assert len(records) == 50
-        assert [r.n_input for r in records] == list(range(1, 51))
-
-    def test_undersized_sieve_rejected(self):
-        with pytest.raises(ValueError):
-            compute_records(100, sieve=build_sieve(50))
+            assert data.n_max[n] == solution.n_max, n
+            assert (n in primes) == flags.prime, n
+            assert (n in perfect) == flags.perfect, n
 
     def test_thread_counts_agree(self):
         base = compute_records(20_000, thread_count=1)
@@ -98,16 +78,19 @@ class TestComputeRecords:
         import random
 
         data = compute_records(1_000_000)
+        primes = set(_floor_primes(data.n_max, 1_000_000).tolist()) | {2, 3}
+        perfect = {n for n, _ in perfect_values(1_000_000)}
         rng = random.Random(20240601)
         for n in rng.sample(range(1, 1_000_001), 1000):
-            record = data.record(n)
             solution = solve(n)
-            assert record.n_max == solution.n_max, n
-            assert record.flags == classify(solution), n
+            flags = classify(solution)
+            assert data.n_max[n] == solution.n_max, n
+            assert (n in primes) == flags.prime, n
+            assert (n in perfect) == flags.perfect, n
 
     def test_lean_columns_at_million(self):
-        # uint16 answers, bool columns and blockwise masks: about 7 bytes per N,
-        # with no whole-range int64 or float64 temporary
+        # one uint16 column: 2 bytes per N, and no whole-range bool, int64 or
+        # float64 temporary
         tracemalloc.start()
         try:
             data = compute_records(1_000_000, thread_count=1)
@@ -115,18 +98,17 @@ class TestComputeRecords:
         finally:
             tracemalloc.stop()
         assert data.n_max.dtype == np.uint16
-        assert peak <= 10 * 1_000_000
+        assert peak <= 2.5 * 1_000_000
 
     @pytest.mark.parametrize("limit", [MASK_BLOCK - 1, MASK_BLOCK, MASK_BLOCK + 1,
-                                       3 * MASK_BLOCK + 5])
+                                       MASK_BLOCK + 2, 3 * MASK_BLOCK + 5])
     def test_masks_across_block_edges(self, limit):
+        # the prime scan runs in blocks from N = 2: it equals one whole-range scan
         data = compute_records(limit)
-        ns = np.arange(limit + 1, dtype=np.int64)
-        bound = (1.0 + np.sqrt((1 + 8 * ns).astype(np.float64))) / 2.0
-        reference = (data.n_max / bound > 0.9) & ~data.perfect
-        assert np.array_equal(data.near_perfect, reference)
-        perfect_ns = [n for n, _ in perfect_values(limit)]
-        assert np.nonzero(data.perfect)[0].tolist() == perfect_ns
+        primes = _floor_primes(data.n_max, limit)
+        assert np.array_equal(primes, np.flatnonzero(data.n_max[2:] == 1) + 2)
+        perfect = perfect_values(limit)
+        assert [int(data.n_max[n]) for n, _ in perfect] == [k for _, k in perfect]
 
     def test_prime_floor_density_10k(self):
         data = compute_records(10_000)
@@ -186,6 +168,14 @@ class TestEmitDatasets:
         assert 2 not in {n for n, _ in rows} and 3 not in {n for n, _ in rows}
         assert rows[0] == (5, 1) and rows[-1] == (199, 1)
 
+    def test_primes_series_matches_independent_sieve(self, tmp_path):
+        # the series is read off n_max; a sieve of Eratosthenes is the arbiter
+        limit = 2_000_000
+        emit_datasets(compute_records(limit), SweepConfig(limit=limit, output_dir=tmp_path))
+        rows = read_series(tmp_path / "nmax_primes_1m.csv")
+        expected = np.flatnonzero(build_sieve(limit).prime[5:]) + 5
+        assert [n for n, _ in rows] == expected.tolist()
+
     def test_file_dialect(self, tmp_path):
         config = SweepConfig(limit=50, output_dir=tmp_path, stride=13)
         emit_datasets(compute_records(50), config)
@@ -214,7 +204,7 @@ class TestEmitDatasets:
         assert list(tmp_path.iterdir()) == [path]
 
     def test_empty_records_rejected(self, tmp_path):
-        empty = SweepData(0, *(np.zeros(1, dtype=np.int64) for _ in range(5)))
+        empty = SweepData(0, np.zeros(1, dtype=np.uint16))
         config = SweepConfig(limit=1, output_dir=tmp_path)
         with pytest.raises(ValueError):
             emit_datasets(empty, config)
@@ -258,6 +248,11 @@ class TestRunSweep:
         assert set(phases) == {"compute_records", "emit_datasets"}
         assert all(seconds >= 0 for seconds in phases.values())
         assert sum(phases.values()) <= summary.elapsed_seconds
+
+    @pytest.mark.parametrize("limit,pi", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3),
+                                          (10_000, 1229)])
+    def test_prime_count_is_pi(self, tmp_path, limit, pi):
+        assert run_sweep(SweepConfig(limit=limit, output_dir=tmp_path)).prime_count == pi
 
     def test_byte_identical_across_thread_counts(self, tmp_path):
         outputs = {}
