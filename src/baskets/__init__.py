@@ -4,7 +4,6 @@ holding the same number of apples and a distinct number of pears."""
 
 from .arith import (
     CapacityError,
-    DivisorList,
     DivisorSieve,
     build_sieve,
     divisors,
@@ -14,7 +13,6 @@ from .arith import (
 )
 from .census import (
     ClassificationFlags,
-    DistributionCount,
     classify,
     count_distributions,
     enumerate_distributions,
@@ -32,7 +30,6 @@ from .solver import (
 )
 from .sweep import (
     SweepConfig,
-    SweepData,
     SweepSummary,
     compute_records,
     emit_datasets,
@@ -44,14 +41,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError",
     "ClassificationFlags",
-    "DistributionCount",
-    "DivisorList",
     "DivisorSieve",
     "InfeasibleError",
     "PearDistribution",
     "Solution",
     "SweepConfig",
-    "SweepData",
     "SweepSummary",
     "brute_force_n_max",
     "build_sieve",

@@ -10,7 +10,6 @@ because the benchmark's traced sweep run calls them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -54,15 +53,7 @@ def build_sieve(limit: int) -> DivisorSieve:
     return DivisorSieve(limit, prime)
 
 
-@dataclass(frozen=True)
-class DivisorList:
-    """All positive divisors of ``value``, sorted ascending."""
-
-    value: int
-    divisors: tuple[int, ...]
-
-
-def divisors(n: int) -> DivisorList:
+def divisors(n: int) -> tuple[int, ...]:
     """Complete sorted divisor list of n, by trial division up to sqrt(n)."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -72,7 +63,7 @@ def divisors(n: int) -> DivisorList:
             small.append(d)
             if d != n // d:
                 large.append(n // d)
-    return DivisorList(n, tuple(small + large[::-1]))
+    return tuple(small + large[::-1])
 
 
 def is_prime(n: int) -> bool:

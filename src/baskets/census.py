@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from math import isqrt
 from typing import Iterator
 
 from .arith import is_highly_composite, triangular
@@ -30,13 +31,6 @@ class ClassificationFlags:
         return "plain"
 
 
-@dataclass(frozen=True)
-class DistributionCount:
-    n_baskets: int
-    n_input: int
-    count: int
-
-
 def classify(solution: Solution) -> ClassificationFlags:
     """Non-exclusive flags for one solved N.
 
@@ -56,7 +50,7 @@ def classify(solution: Solution) -> ClassificationFlags:
     )
 
 
-def count_distributions(n: int, n_input: int) -> DistributionCount:
+def count_distributions(n: int, n_input: int) -> int:
     """Exact number of sets of n distinct non-negative integers summing to n_input.
 
     Subtracting the forced minimum {0, 1, ..., n-1} leaves a surplus S to
@@ -75,7 +69,7 @@ def count_distributions(n: int, n_input: int) -> DistributionCount:
     for part in range(1, min(n, surplus) + 1):
         for total in range(part, surplus + 1):
             ways[total] += ways[total - part]
-    return DistributionCount(n_baskets=n, n_input=n_input, count=ways[surplus])
+    return ways[surplus]
 
 
 def _ascending_choices(slots: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -134,9 +128,5 @@ def perfect_values(limit: int) -> list[tuple[int, int]]:
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    out = []
-    n = 3
-    while triangular(n) <= limit:
-        out.append((triangular(n), n))
-        n += 2
-    return out
+    largest = (1 + isqrt(1 + 8 * limit)) // 2  # the largest n with T(n) <= limit
+    return [(triangular(n), n) for n in range(3, largest + 1, 2)]

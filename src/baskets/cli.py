@@ -11,12 +11,11 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 from . import census, oracle
-from .arith import CapacityError
+from .arith import CapacityError, triangular
 from .census import ClassificationFlags
 from .solver import InfeasibleError, PearDistribution, Solution, solve
 from .sweep import SweepConfig, run_sweep
@@ -86,30 +85,20 @@ def flags_to_dict(flags: ClassificationFlags) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class TableRow:
-    n_input: int
-    bound_display: str
-    n_max: int
-    apples_per_basket: int
-    efficiency_display: str
-    distribution_text: str
-    display_class: str
-
-
-def table_row(solution: Solution, flags: ClassificationFlags) -> TableRow:
+def table_row(solution: Solution, flags: ClassificationFlags) -> tuple[str, ...]:
+    """The cells of one table row, in TABLE_COLUMNS order."""
     # the table column mirrors row shading, which has no highly-composite color
     display = flags.display_class
     if display == "highly_composite":
         display = "plain"
-    return TableRow(
-        n_input=solution.n_input,
-        bound_display=round_half_away(solution.pear_bound, 1),
-        n_max=solution.n_max,
-        apples_per_basket=solution.apples_per_basket,
-        efficiency_display=round_half_away(solution.efficiency, 2),
-        distribution_text=format_distribution(solution.canonical),
-        display_class=display,
+    return (
+        str(solution.n_input),
+        round_half_away(solution.pear_bound, 1),
+        str(solution.n_max),
+        str(solution.apples_per_basket),
+        round_half_away(solution.efficiency, 2),
+        format_distribution(solution.canonical),
+        display,
     )
 
 
@@ -140,14 +129,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.start > args.end:
         raise UsageError(f"empty range: {args.start} > {args.end}")
-    rows = []
-    for n in range(args.start, args.end + 1):
-        solution = solve(n)
-        rows.append(table_row(solution, census.classify(solution)))
-
-    cells = [(str(r.n_input), r.bound_display, str(r.n_max), str(r.apples_per_basket),
-              r.efficiency_display, r.distribution_text, r.display_class)
-             for r in rows]
+    cells = [table_row(solution, census.classify(solution))
+             for solution in map(solve, range(args.start, args.end + 1))]
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(TABLE_COLUMNS)
@@ -168,9 +151,9 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     baskets = args.baskets if args.baskets is not None else solve(args.n).n_max
-    result = census.count_distributions(baskets, args.n)
-    surplus = args.n - baskets * (baskets - 1) // 2
-    print(f"N={args.n} baskets={baskets} surplus={surplus} count={result.count}")
+    count = census.count_distributions(baskets, args.n)
+    surplus = args.n - triangular(baskets)
+    print(f"N={args.n} baskets={baskets} surplus={surplus} count={count}")
     return EXIT_OK
 
 

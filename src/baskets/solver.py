@@ -93,7 +93,7 @@ def solve(n_input: int) -> Solution:
     if n_input < 1:
         raise ValueError(f"n_input must be positive, got {n_input}")
     n_max = 1
-    for d in reversed(divisors(n_input).divisors):
+    for d in reversed(divisors(n_input)):
         if feasible(d, n_input):
             n_max = d
             break

@@ -1,9 +1,9 @@
 """Batch computation of solutions for all N in [1, limit] and CSV emission.
 
-The sweep stores one column, the answer n_max as a uint16 for every N, and
-reads the rest off it: the N > 1 with answer 1 are exactly the primes of 5 or
-more (``census.classify`` gives the reason), and the perfect values come from
-``census.perfect_values``.
+``compute_records`` returns one uint16 array, the answer n_max for every N,
+and ``emit_datasets`` reads the rest off it: the N > 1 with answer 1 are
+exactly the primes of 5 or more (``census.classify`` gives the reason), and
+the perfect values come from ``census.perfect_values``.
 
 The scatter datasets come in two views: a mid-scale view capped at 10^4 and a
 full-limit view (written only when the limit exceeds 10^4).  Each view gets a
@@ -60,17 +60,6 @@ class SweepSummary:
     phase_seconds: dict[str, float]
 
 
-class SweepData:
-    """The answer ``n_max[N]`` for every N in [1, limit]; index 0 is unused."""
-
-    def __init__(self, limit: int, n_max: np.ndarray):
-        self.limit = limit
-        self.n_max = n_max
-
-    def __len__(self) -> int:
-        return self.limit
-
-
 def _fill_n_max(n_max: np.ndarray, lo: int, hi: int) -> None:
     """Write the answer for every N in [lo, hi] into n_max.
 
@@ -87,8 +76,9 @@ def _fill_n_max(n_max: np.ndarray, lo: int, hi: int) -> None:
 
 
 def compute_records(limit: int, sieve: DivisorSieve | None = None,
-                    thread_count: int | None = None) -> SweepData:
-    """Solve every N in [1, limit] into one uint16 column, 2 bytes per N.
+                    thread_count: int | None = None) -> np.ndarray:
+    """The answer for every N in [1, limit]: a uint16 array of length
+    limit + 1, 2 bytes per N, whose entry N is n_max(N); entry 0 is unused.
 
     Primes and perfect values are not stored: the emitters read them off
     ``n_max`` and ``perfect_values``.  ``sieve`` is accepted and not read.
@@ -117,7 +107,7 @@ def compute_records(limit: int, sieve: DivisorSieve | None = None,
             for job in jobs:
                 job.result()
 
-    return SweepData(limit, n_max)
+    return n_max
 
 
 def _floor_masks(n_max: np.ndarray, limit: int):
@@ -175,19 +165,20 @@ def _write_series(path: Path, ns: np.ndarray, n_max: np.ndarray) -> None:
             tmp.unlink()
 
 
-def _view_series(data: SweepData, view_limit: int, stride: int):
+def _view_series(n_max: np.ndarray, view_limit: int, stride: int):
     """(sampled, perfect, primes) index arrays for one view, ascending N."""
     sampled = np.arange(stride, view_limit + 1, stride, dtype=np.int64)
     perfect = np.array([n for n, _ in perfect_values(view_limit)], dtype=np.int64)
-    return sampled, perfect, _floor_primes(data.n_max, view_limit)
+    return sampled, perfect, _floor_primes(n_max, view_limit)
 
 
-def emit_datasets(data: SweepData, config: SweepConfig) -> list[Path]:
-    """Write the dataset files for `data` under config.output_dir."""
-    if len(data) < 1:
+def emit_datasets(n_max: np.ndarray, config: SweepConfig) -> list[Path]:
+    """Write the datasets of `n_max` (from compute_records) under config.output_dir."""
+    covered = len(n_max) - 1
+    if covered < 1:
         raise ValueError("no records to emit")
-    if data.limit < config.limit:
-        raise ValueError(f"records cover [1, {data.limit}], need [1, {config.limit}]")
+    if covered < config.limit:
+        raise ValueError(f"records cover [1, {covered}], need [1, {config.limit}]")
 
     views = [(min(config.limit, SMALL_VIEW_LIMIT),
               config.stride or SMALL_VIEW_STRIDE, SMALL_VIEW_FILES)]
@@ -198,11 +189,11 @@ def emit_datasets(data: SweepData, config: SweepConfig) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for view_limit, stride, (sampled_name, perfect_name, primes_name) in views:
-        sampled, perfect, primes = _view_series(data, view_limit, stride)
+        sampled, perfect, primes = _view_series(n_max, view_limit, stride)
         for name, indices in ((sampled_name, sampled), (perfect_name, perfect),
                               (primes_name, primes)):
             path = out_dir / name
-            _write_series(path, indices, data.n_max[indices])
+            _write_series(path, indices, n_max[indices])
             written.append(path)
     return written
 
@@ -210,16 +201,16 @@ def emit_datasets(data: SweepData, config: SweepConfig) -> list[Path]:
 def run_sweep(config: SweepConfig) -> SweepSummary:
     """Compute records for [1, config.limit], emit datasets, report counts."""
     started = time.perf_counter()
-    data = compute_records(config.limit, thread_count=config.thread_count)
+    limit = config.limit
+    n_max = compute_records(limit, thread_count=config.thread_count)
     computed = time.perf_counter()
-    paths = emit_datasets(data, config)
+    paths = emit_datasets(n_max, config)
     emitted = time.perf_counter()
-    floor_primes = sum(int(np.count_nonzero(mask))
-                       for _, mask in _floor_masks(data.n_max, data.limit))
+    floor_primes = sum(int(np.count_nonzero(mask)) for _, mask in _floor_masks(n_max, limit))
     return SweepSummary(
-        record_count=data.limit,
-        perfect_count=len(perfect_values(data.limit)),
-        prime_count=floor_primes + sum(p <= data.limit for p in (2, 3)),
+        record_count=limit,
+        perfect_count=len(perfect_values(limit)),
+        prime_count=floor_primes + sum(p <= limit for p in (2, 3)),
         elapsed_seconds=time.perf_counter() - started,
         paths=tuple(paths),
         phase_seconds={"compute_records": computed - started,

@@ -1,4 +1,5 @@
 import csv
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -44,3 +45,11 @@ def distinct_sets(total, size, lowest=0):
     for v in range(lowest, total + 1):
         for rest in distinct_sets(total - v, size - 1, v + 1):
             yield (v,) + rest
+
+
+def largest_basket_count(limit):
+    """The largest n with n(n-1)/2 <= limit, by a downward search."""
+    n = isqrt(2 * limit) + 1  # the answer m has (m-1)^2 < m(m-1) <= 2*limit
+    while n * (n - 1) // 2 > limit:
+        n -= 1
+    return n

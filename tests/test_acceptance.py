@@ -129,12 +129,12 @@ def test_criterion_6_counting_correctness():
         n = 1
         while n * (n - 1) // 2 <= n_input:
             surplus = n_input - n * (n - 1) // 2
-            count = count_distributions(n, n_input).count
+            count = count_distributions(n, n_input)
             assert count == sum(1 for _ in distinct_sets(n_input, n)), (n, n_input)
             if surplus == 0:
                 assert count == 1
             if n_input > 1 and n * (n - 1) // 2 <= n_input - 1:
-                previous = count_distributions(n, n_input - 1).count
+                previous = count_distributions(n, n_input - 1)
                 assert count >= previous, (n, n_input)
                 if n >= 2 and surplus >= 1 and count == previous:
                     stalls.append((n, n_input))
@@ -153,12 +153,12 @@ def test_criterion_7_prime_floor(million):
             composite[p * p :: p] = True
     primes = np.nonzero(~composite)[0]
     assert len(primes) == 78498
-    assert int(million.n_max[2]) == 2
-    assert int(million.n_max[3]) == 3
+    assert int(million[2]) == 2
+    assert int(million[3]) == 3
     floor_primes = primes[primes >= 5]
-    assert np.all(million.n_max[floor_primes] == 1)
+    assert np.all(million[floor_primes] == 1)
     # and nothing else sits on the floor except N=1
-    on_floor = np.nonzero(million.n_max[1:] == 1)[0] + 1
+    on_floor = np.nonzero(million[1:] == 1)[0] + 1
     assert len(on_floor) == 1 + len(floor_primes)
     print("\ncriterion 7 (prime floor across [5, 10^6]): PASS")
 

@@ -12,7 +12,7 @@ from baskets.census import (
 )
 from baskets.solver import InfeasibleError, solve
 
-from .conftest import distinct_sets
+from .conftest import distinct_sets, largest_basket_count
 
 
 class TestClassify:
@@ -75,22 +75,22 @@ class TestCountDistributions:
     def test_tight_case_unique(self):
         # n=1 is excluded: its tight sum would be 0, below the puzzle domain
         for n in (2, 5, 9, 11, 20):
-            assert count_distributions(n, triangular(n)).count == 1
+            assert count_distributions(n, triangular(n)) == 1
 
     def test_single_basket(self):
         for n_input in (1, 7, 60, 12345):
-            assert count_distributions(1, n_input).count == 1
+            assert count_distributions(1, n_input) == 1
 
     def test_small_examples(self):
-        assert count_distributions(2, 3).count == 2    # {0,3}, {1,2}
-        assert count_distributions(3, 6).count == 3    # {0,1,5}, {0,2,4}, {1,2,3}
+        assert count_distributions(2, 3) == 2    # {0,3}, {1,2}
+        assert count_distributions(3, 6) == 3    # {0,1,5}, {0,2,4}, {1,2,3}
 
     def test_matches_brute_force_to_25(self):
         for n_input in range(1, 26):
             n = 1
             while triangular(n) <= n_input:
                 expected = sum(1 for _ in distinct_sets(n_input, n))
-                assert count_distributions(n, n_input).count == expected, (n, n_input)
+                assert count_distributions(n, n_input) == expected, (n, n_input)
                 n += 1
 
     def test_monotone_in_surplus(self):
@@ -99,23 +99,21 @@ class TestCountDistributions:
             for n_input in range(triangular(n), triangular(n) + 40):
                 if n_input < 1:
                     continue
-                count = count_distributions(n, n_input).count
+                count = count_distributions(n, n_input)
                 if previous is not None:
                     assert count >= previous
                 previous = count
 
     def test_large_count_is_exact_bignum(self):
         # python ints never wrap; spot-check a count beyond 64 bits
-        result = count_distributions(300, triangular(300) + 5000)
-        assert result.count > 2**64
+        assert count_distributions(300, triangular(300) + 5000) > 2**64
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleError):
             count_distributions(12, 60)
 
     def test_fields(self):
-        result = count_distributions(10, 60)
-        assert (result.n_baskets, result.n_input, result.count) == (10, 60, 164)
+        assert count_distributions(10, 60) == 164
 
 
 class TestEnumerateDistributions:
@@ -132,7 +130,7 @@ class TestEnumerateDistributions:
         assert len(first3) == 3
         assert first3[0] == (0, 1, 2, 3, 4, 5, 6, 7, 8, 24)
         everything = enumerate_distributions(10, 60, 10**9)
-        assert len(everything) == count_distributions(10, 60).count
+        assert len(everything) == count_distributions(10, 60)
         assert [d.counts for d in everything[:3]] == first3
 
     def test_lexicographic_and_complete_to_20(self):
@@ -162,13 +160,13 @@ class TestEnumerateDistributions:
                     continue
                 got = [d.counts for d in enumerate_distributions(n, n_input, 10**9)]
                 assert got == list(distinct_sets(n_input, n)), (n, n_input)
-                assert len(got) == count_distributions(n, n_input).count
+                assert len(got) == count_distributions(n, n_input)
 
     def test_limit_above_count_stops_at_the_count(self):
         started = time.perf_counter()
         got = enumerate_distributions(40, triangular(40) + 10, 43)
         elapsed = time.perf_counter() - started
-        assert len(got) == 42 == count_distributions(40, triangular(40) + 10).count
+        assert len(got) == 42 == count_distributions(40, triangular(40) + 10)
         assert elapsed < 2.0, f"whole tree took {elapsed:.2f}s"
 
     def test_deep_enumeration_has_no_recursion_limit(self):
@@ -191,6 +189,25 @@ class TestPerfectValues:
 
     def test_million_count(self):
         assert len(perfect_values(1_000_000)) == 706
+
+    def test_matches_brute_force_to_5000(self):
+        # every limit, so T(n) - 1, T(n) and T(n) + 1 for each odd and even n <= 100
+        pairs = [(n * (n - 1) // 2, n) for n in range(3, 101, 2)]
+        for limit in range(1, 5001):
+            assert perfect_values(limit) == [(t, n) for t, n in pairs if t <= limit], limit
+
+    @pytest.mark.parametrize("n", [1001, 1002, 44_721, 44_722])
+    def test_edges_around_triangular(self, n):
+        for limit in (triangular(n) - 1, triangular(n), triangular(n) + 1):
+            expected, k = [], 3
+            while k * (k - 1) // 2 <= limit:
+                expected.append((k * (k - 1) // 2, k))
+                k += 2
+            assert perfect_values(limit) == expected, limit
+
+    def test_count_at_10_to_12(self):
+        # odd n from 3 to m(L) inclusive, m(L) the largest n with T(n) <= L
+        assert len(perfect_values(10**12)) == (largest_basket_count(10**12) - 1) // 2
 
     def test_below_smallest(self):
         assert perfect_values(2) == []
@@ -219,7 +236,7 @@ class TestPerfectValues:
             s = solve(n_input)
             assert s.n_max == n
             assert s.surplus == 0
-            assert count_distributions(n, n_input).count == 1
+            assert count_distributions(n, n_input) == 1
 
 
 class TestPrimeFloor:

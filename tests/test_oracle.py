@@ -49,4 +49,4 @@ class TestVerifyRange:
         limit = 10**4
         rows = reachable_basket_counts(limit)
         expected = [_largest_reachable_divisor(n, rows) for n in range(1, limit + 1)]
-        assert compute_records(limit).n_max[1:].tolist() == expected
+        assert compute_records(limit)[1:].tolist() == expected

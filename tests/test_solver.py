@@ -100,7 +100,7 @@ class TestSolve:
             assert n % s.n_max == 0
             assert s.apples_per_basket == n // s.n_max
             assert feasible(s.n_max, n)
-            for d in divisors(n).divisors:
+            for d in divisors(n):
                 if d > s.n_max:
                     assert triangular(d) > n
             assert s.surplus == n - triangular(s.n_max)
@@ -114,7 +114,7 @@ class TestSolve:
     def test_envelope_to_100k(self):
         from baskets.sweep import compute_records
 
-        data = compute_records(100_000)
+        n_max = compute_records(100_000)
         for n in range(1, 100_001):
             bound = pear_bound(n)
-            assert data.n_max[n] <= bound < math.sqrt(2 * n) + 1
+            assert n_max[n] <= bound < math.sqrt(2 * n) + 1

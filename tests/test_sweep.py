@@ -1,15 +1,15 @@
 import tracemalloc
+from math import isqrt
 
 import numpy as np
 import pytest
 
-from baskets.arith import build_sieve
+from baskets.arith import build_sieve, highly_composite_numbers
 from baskets.census import classify, perfect_values
 from baskets.solver import solve
 from baskets.sweep import (
     MASK_BLOCK,
     SweepConfig,
-    SweepData,
     _floor_primes,
     _write_series,
     compute_records,
@@ -17,7 +17,7 @@ from baskets.sweep import (
     run_sweep,
 )
 
-from .conftest import read_series
+from .conftest import largest_basket_count, read_series
 
 
 def reference_csv(ns, n_max) -> bytes:
@@ -26,7 +26,17 @@ def reference_csv(ns, n_max) -> bytes:
     return "".join(lines).encode("ascii")
 
 
-def reference_datasets(data, limit) -> dict[str, bytes]:
+def prime_flags(limit) -> np.ndarray:
+    """Sieve of Eratosthenes over [0, limit], independent of the package."""
+    prime = np.ones(limit + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, isqrt(limit) + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
+    return prime
+
+
+def reference_datasets(n_max, limit) -> dict[str, bytes]:
     """Every dataset file for a sweep to `limit`, by name, at default strides."""
     views = [(min(limit, 10_000), 10, ("nmax_sampled.csv", "nmax_perfect.csv",
                                         "nmax_primes_10k.csv"))]
@@ -39,10 +49,10 @@ def reference_datasets(data, limit) -> dict[str, bytes]:
         series = (
             np.arange(stride, upto, stride),
             np.array([n for n, _ in perfect_values(view_limit)], dtype=np.int64),
-            np.flatnonzero(data.n_max[2:upto] == 1) + 2,
+            np.flatnonzero(n_max[2:upto] == 1) + 2,
         )
         for name, ns in zip(names, series):
-            files[name] = reference_csv(ns, data.n_max[ns])
+            files[name] = reference_csv(ns, n_max[ns])
     return files
 
 
@@ -58,13 +68,13 @@ class TestConfig:
 
 class TestComputeRecords:
     def test_matches_single_n_path(self):
-        data = compute_records(2000)
-        primes = set(_floor_primes(data.n_max, 2000).tolist()) | {2, 3}
+        n_max = compute_records(2000)
+        primes = set(_floor_primes(n_max, 2000).tolist()) | {2, 3}
         perfect = {n for n, _ in perfect_values(2000)}
         for n in range(1, 2001):
             solution = solve(n)
             flags = classify(solution)
-            assert data.n_max[n] == solution.n_max, n
+            assert n_max[n] == solution.n_max, n
             assert (n in primes) == flags.prime, n
             assert (n in perfect) == flags.perfect, n
 
@@ -72,19 +82,19 @@ class TestComputeRecords:
         base = compute_records(20_000, thread_count=1)
         for threads in (2, 4, 8):
             other = compute_records(20_000, thread_count=threads)
-            assert np.array_equal(base.n_max, other.n_max)
+            assert np.array_equal(base, other)
 
     def test_random_sample_consistency_at_million(self):
         import random
 
-        data = compute_records(1_000_000)
-        primes = set(_floor_primes(data.n_max, 1_000_000).tolist()) | {2, 3}
+        n_max = compute_records(1_000_000)
+        primes = set(_floor_primes(n_max, 1_000_000).tolist()) | {2, 3}
         perfect = {n for n, _ in perfect_values(1_000_000)}
         rng = random.Random(20240601)
         for n in rng.sample(range(1, 1_000_001), 1000):
             solution = solve(n)
             flags = classify(solution)
-            assert data.n_max[n] == solution.n_max, n
+            assert n_max[n] == solution.n_max, n
             assert (n in primes) == flags.prime, n
             assert (n in perfect) == flags.perfect, n
 
@@ -93,41 +103,35 @@ class TestComputeRecords:
         # float64 temporary
         tracemalloc.start()
         try:
-            data = compute_records(1_000_000, thread_count=1)
+            n_max = compute_records(1_000_000, thread_count=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert data.n_max.dtype == np.uint16
+        assert n_max.dtype == np.uint16
         assert peak <= 2.5 * 1_000_000
 
     @pytest.mark.parametrize("limit", [MASK_BLOCK - 1, MASK_BLOCK, MASK_BLOCK + 1,
                                        MASK_BLOCK + 2, 3 * MASK_BLOCK + 5])
     def test_masks_across_block_edges(self, limit):
         # the prime scan runs in blocks from N = 2: it equals one whole-range scan
-        data = compute_records(limit)
-        primes = _floor_primes(data.n_max, limit)
-        assert np.array_equal(primes, np.flatnonzero(data.n_max[2:] == 1) + 2)
+        n_max = compute_records(limit)
+        primes = _floor_primes(n_max, limit)
+        assert np.array_equal(primes, np.flatnonzero(n_max[2:] == 1) + 2)
         perfect = perfect_values(limit)
-        assert [int(data.n_max[n]) for n, _ in perfect] == [k for _, k in perfect]
+        assert [int(n_max[n]) for n, _ in perfect] == [k for _, k in perfect]
 
     def test_prime_floor_density_10k(self):
-        data = compute_records(10_000)
-        floor_count = int((data.n_max[1:] == 1).sum())
-        # independent boolean sieve
-        composite = np.zeros(10_001, dtype=bool)
-        composite[:2] = True
-        for p in range(2, 101):
-            if not composite[p]:
-                composite[p * p :: p] = True
-        primes_from_5 = int((~composite[5:]).sum())
+        n_max = compute_records(10_000)
+        floor_count = int((n_max[1:] == 1).sum())
+        primes_from_5 = int(prime_flags(10_000)[5:].sum())
         assert floor_count == 1 + primes_from_5  # N=1 plus every prime >= 5
 
 
 class TestEmitDatasets:
     def test_small_limit_writes_three_files(self, tmp_path):
         config = SweepConfig(limit=200, output_dir=tmp_path, stride=1)
-        data = compute_records(200)
-        paths = emit_datasets(data, config)
+        n_max = compute_records(200)
+        paths = emit_datasets(n_max, config)
         assert [p.name for p in paths] == [
             "nmax_sampled.csv", "nmax_perfect.csv", "nmax_primes_10k.csv",
         ]
@@ -173,7 +177,7 @@ class TestEmitDatasets:
         limit = 2_000_000
         emit_datasets(compute_records(limit), SweepConfig(limit=limit, output_dir=tmp_path))
         rows = read_series(tmp_path / "nmax_primes_1m.csv")
-        expected = np.flatnonzero(build_sieve(limit).prime[5:]) + 5
+        expected = np.flatnonzero(prime_flags(limit)[5:]) + 5
         assert [n for n, _ in rows] == expected.tolist()
 
     def test_file_dialect(self, tmp_path):
@@ -188,10 +192,10 @@ class TestEmitDatasets:
     def test_bytes_match_reference_formatter(self, tmp_path, limit):
         # 1-6: series of no rows (header only) or one row; 10^4 and 10^4 + 1: the
         # edge between the two views; 2*10^6: 148,931 prime rows, three blocks
-        data = compute_records(limit)
-        paths = emit_datasets(data, SweepConfig(limit=limit, output_dir=tmp_path))
+        n_max = compute_records(limit)
+        paths = emit_datasets(n_max, SweepConfig(limit=limit, output_dir=tmp_path))
         written = {p.name: p.read_bytes() for p in paths}
-        assert written == reference_datasets(data, limit)
+        assert written == reference_datasets(n_max, limit)
 
     @pytest.mark.parametrize("rows", [0, 1, MASK_BLOCK - 1, MASK_BLOCK, MASK_BLOCK + 1])
     def test_series_formatter(self, tmp_path, rows):
@@ -204,7 +208,7 @@ class TestEmitDatasets:
         assert list(tmp_path.iterdir()) == [path]
 
     def test_empty_records_rejected(self, tmp_path):
-        empty = SweepData(0, np.zeros(1, dtype=np.uint16))
+        empty = np.zeros(1, dtype=np.uint16)  # covers no N
         config = SweepConfig(limit=1, output_dir=tmp_path)
         with pytest.raises(ValueError):
             emit_datasets(empty, config)
@@ -217,14 +221,14 @@ class TestEmitDatasets:
 
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
         config = SweepConfig(limit=50, output_dir=tmp_path)
-        data = compute_records(50)
+        n_max = compute_records(50)
 
         def broken_replace(src, dst):
             raise OSError("disk full")
 
         monkeypatch.setattr("baskets.sweep.os.replace", broken_replace)
         with pytest.raises(OSError) as err:
-            emit_datasets(data, config)
+            emit_datasets(n_max, config)
         assert "nmax_sampled.csv" in str(err.value)  # offending path is named
         assert list(tmp_path.iterdir()) == []  # neither final file nor temp left
 
@@ -254,6 +258,15 @@ class TestRunSweep:
     def test_prime_count_is_pi(self, tmp_path, limit, pi):
         assert run_sweep(SweepConfig(limit=limit, output_dir=tmp_path)).prime_count == pi
 
+    @pytest.mark.parametrize("limit", [10_001, 200_000])
+    def test_summary_counts_over_two_views(self, tmp_path, limit):
+        summary = run_sweep(SweepConfig(limit=limit, output_dir=tmp_path))
+        assert summary.prime_count == int(prime_flags(limit).sum())
+        assert summary.perfect_count == (largest_basket_count(limit) - 1) // 2
+        written = {p.name: p.read_bytes() for p in summary.paths}
+        assert len(written) == 6
+        assert written == reference_datasets(compute_records(limit), limit)
+
     def test_byte_identical_across_thread_counts(self, tmp_path):
         outputs = {}
         for threads in (1, 3):
@@ -261,3 +274,17 @@ class TestRunSweep:
             run_sweep(SweepConfig(limit=30_000, output_dir=out, thread_count=threads))
             outputs[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
         assert outputs[1] == outputs[3]
+
+
+class TestBenchmarkBindings:
+    # The traced benchmark run binds build_sieve, the positional sieve argument
+    # of compute_records (accepted and not read) and
+    # DivisorSieve.highly_composite_table; no command uses them.  The
+    # benchmark-only follow-up of ROADMAP item 1 deletes them and this test.
+    def test_sieve_argument_and_highly_composite_table(self):
+        limit = 10**5
+        sieve = build_sieve(limit)
+        assert np.array_equal(compute_records(limit, sieve, thread_count=2),
+                              compute_records(limit))
+        table = sieve.highly_composite_table()
+        assert np.flatnonzero(table).tolist() == highly_composite_numbers(limit)
