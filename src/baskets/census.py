@@ -4,13 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from math import isqrt
 from typing import Iterator
 
 from .arith import is_highly_composite, triangular
-from .solver import InfeasibleError, PearDistribution, Solution, feasible
-
-NEAR_PERFECT_THRESHOLD = 0.9
+from .solver import PearDistribution, Solution, max_baskets, require_feasible
 
 # Display precedence when several flags are set (classes are non-exclusive).
 DISPLAY_ORDER = ("perfect", "prime", "near_perfect", "highly_composite")
@@ -32,20 +29,22 @@ class ClassificationFlags:
 
 
 def classify(solution: Solution) -> ClassificationFlags:
-    """Non-exclusive flags for one solved N.
+    """Non-exclusive flags for one solved N, decided in exact integers.
 
-    Perfect is decided in exact integers (2N = n(n-1) with n odd), never by
-    comparing efficiency against 1.0.  Prime is read off the answer, as the
-    sweep does: a composite N has its least divisor a <= sqrt(N), so
-    a(a-1)/2 < N and n_max >= a >= 2; a prime p > 3 has only the divisors 1
-    and p, with p(p-1)/2 > p, so n_max = 1; 2 and 3 are their own answers.
+    Perfect is 2N = n(n-1) with n odd.  Near-perfect is efficiency > 9/10,
+    i.e. 20n - 9 > 9 sqrt(1 + 8N), squared; `efficiency` is for display.
+    Prime is read off the answer, as the sweep does: a composite N has its
+    least divisor a <= sqrt(N), so a(a-1)/2 < N and n_max >= a >= 2; a prime
+    p > 3 has only the divisors 1 and p, with p(p-1)/2 > p, so n_max = 1;
+    2 and 3 are their own answers.
     """
     n, n_max = solution.n_input, solution.n_max
     perfect = 2 * n == n_max * (n_max - 1) and n_max % 2 == 1
+    lead = 20 * n_max - 9
     return ClassificationFlags(
         perfect=perfect,
         prime=n_max == 1 and n > 1 or n in (2, 3),
-        near_perfect=solution.efficiency > NEAR_PERFECT_THRESHOLD and not perfect,
+        near_perfect=lead > 0 and lead * lead > 81 * (1 + 8 * n) and not perfect,
         highly_composite=is_highly_composite(n),
     )
 
@@ -58,10 +57,7 @@ def count_distributions(n: int, n_input: int) -> int:
     one-to-one with partitions of S into at most n parts, counted here by
     dynamic programming in O(S*n).  Counts are exact bignums.
     """
-    if not feasible(n, n_input):
-        raise InfeasibleError(
-            f"{n} baskets cannot hold distinct pear counts summing to {n_input}"
-        )
+    require_feasible(n, n_input)
     surplus = n_input - triangular(n)
     # partitions of `surplus` into parts of size <= n (conjugate of "at most n parts")
     ways = [0] * (surplus + 1)
@@ -112,10 +108,7 @@ def enumerate_distributions(n: int, n_input: int, limit: int) -> list[PearDistri
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    if not feasible(n, n_input):
-        raise InfeasibleError(
-            f"{n} baskets cannot hold distinct pear counts summing to {n_input}"
-        )
+    require_feasible(n, n_input)
     chosen = islice(_ascending_choices(n, n_input), limit)
     return [PearDistribution(counts) for counts in chosen]
 
@@ -128,5 +121,4 @@ def perfect_values(limit: int) -> list[tuple[int, int]]:
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    largest = (1 + isqrt(1 + 8 * limit)) // 2  # the largest n with T(n) <= limit
-    return [(triangular(n), n) for n in range(3, largest + 1, 2)]
+    return [(triangular(n), n) for n in range(3, max_baskets(limit) + 1, 2)]

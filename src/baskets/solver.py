@@ -45,7 +45,7 @@ class PearDistribution:
 
 @dataclass(frozen=True)
 class Solution:
-    """Full answer for one N."""
+    """Full answer for one N; `canonical` is built from n_max when read."""
 
     n_input: int
     n_max: int
@@ -53,7 +53,10 @@ class Solution:
     pear_bound: float
     efficiency: float
     surplus: int
-    canonical: PearDistribution
+
+    @property
+    def canonical(self) -> PearDistribution:
+        return canonical_distribution(self.n_max, self.n_input)
 
 
 def pear_bound(n_input: int) -> float:
@@ -73,15 +76,25 @@ def feasible(n: int, n_input: int) -> bool:
     return triangular(n) <= n_input
 
 
+def max_baskets(n_input: int) -> int:
+    """m(N): the largest n with n(n-1)/2 <= N, that is (2n-1)^2 <= 1 + 8N."""
+    return (1 + math.isqrt(1 + 8 * n_input)) // 2
+
+
+def require_feasible(n: int, n_input: int) -> None:
+    """Raise InfeasibleError unless `feasible(n, n_input)`."""
+    if not feasible(n, n_input):
+        raise InfeasibleError(
+            f"{n} baskets cannot hold distinct pear counts summing to {n_input}"
+        )
+
+
 def canonical_distribution(n: int, n_input: int) -> PearDistribution:
     """The distribution {0, 1, ..., n-2, (n-1)+S} with the whole surplus last.
 
     For a single basket the distribution is just {n_input}.
     """
-    if not feasible(n, n_input):
-        raise InfeasibleError(
-            f"{n} baskets cannot hold distinct pear counts summing to {n_input}"
-        )
+    require_feasible(n, n_input)
     if n == 1:
         return PearDistribution((n_input,))
     surplus = n_input - triangular(n)
@@ -92,11 +105,8 @@ def solve(n_input: int) -> Solution:
     """Maximize the basket count for n_input apples and n_input pears."""
     if n_input < 1:
         raise ValueError(f"n_input must be positive, got {n_input}")
-    n_max = 1
-    for d in reversed(divisors(n_input)):
-        if feasible(d, n_input):
-            n_max = d
-            break
+    largest = max_baskets(n_input)
+    n_max = max(d for d in divisors(n_input) if d <= largest)
     bound = pear_bound(n_input)
     return Solution(
         n_input=n_input,
@@ -105,5 +115,4 @@ def solve(n_input: int) -> Solution:
         pear_bound=bound,
         efficiency=n_max / bound,
         surplus=n_input - triangular(n_max),
-        canonical=canonical_distribution(n_max, n_input),
     )

@@ -23,6 +23,7 @@ import numpy as np
 
 from .arith import SIEVE_CEILING, CapacityError, DivisorSieve
 from .census import perfect_values
+from .solver import max_baskets
 
 SMALL_VIEW_LIMIT = 10_000
 SMALL_VIEW_STRIDE = 10
@@ -60,19 +61,18 @@ class SweepSummary:
     phase_seconds: dict[str, float]
 
 
-def _fill_n_max(n_max: np.ndarray, lo: int, hi: int) -> None:
-    """Write the answer for every N in [lo, hi] into n_max.
+def _fill_n_max(n_max: np.ndarray, lo: int, hi: int, largest: int) -> None:
+    """Write the answer for every N in [lo, hi] into n_max; `largest` is
+    max_baskets(hi).
 
-    A divisor d serves every multiple m >= d(d-1)/2; sweeping d ascending and
-    overwriting leaves the largest feasible divisor in place.
+    A divisor d <= largest serves every multiple m >= d(d-1)/2; sweeping d
+    ascending and overwriting leaves the largest one in place.
     """
-    d = 1
-    while d * (d - 1) // 2 <= hi:
+    for d in range(1, largest + 1):
         start = max(d, d * (d - 1) // 2, lo)
         first = -(-start // d) * d
         if first <= hi:
             n_max[first : hi + 1 : d] = d
-        d += 1
 
 
 def compute_records(limit: int, sieve: DivisorSieve | None = None,
@@ -93,19 +93,15 @@ def compute_records(limit: int, sieve: DivisorSieve | None = None,
     workers = min(workers, limit)
     # exact: below 2^31 every answer is under 65536 (see arith.SIEVE_CEILING)
     n_max = np.zeros(limit + 1, dtype=np.uint16)
-    if workers == 1:
-        _fill_n_max(n_max, 1, limit)
-    else:
-        # contiguous chunks; workers write disjoint slices of the shared array
-        bounds = np.linspace(1, limit + 1, workers + 1, dtype=np.int64)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            jobs = [
-                pool.submit(_fill_n_max, n_max, int(bounds[i]), int(bounds[i + 1]) - 1)
-                for i in range(workers)
-                if bounds[i] < bounds[i + 1]
-            ]
-            for job in jobs:
-                job.result()
+    # contiguous chunks; workers write disjoint slices of the shared array
+    bounds = np.linspace(1, limit + 1, workers + 1, dtype=np.int64)
+    chunks = [(int(lo), int(hi) - 1) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # max_baskets runs on this thread: perfbench's span tracer nests
+        # spans per thread, so a traced call on a worker would have no parent
+        jobs = [pool.submit(_fill_n_max, n_max, lo, hi, max_baskets(hi)) for lo, hi in chunks]
+        for job in jobs:
+            job.result()
 
     return n_max
 

@@ -1,5 +1,6 @@
 import time
 
+import numpy as np
 import pytest
 
 from baskets.arith import is_prime, triangular
@@ -11,6 +12,7 @@ from baskets.census import (
     perfect_values,
 )
 from baskets.solver import InfeasibleError, solve
+from baskets.sweep import compute_records
 
 from .conftest import distinct_sets, largest_basket_count
 
@@ -62,6 +64,25 @@ class TestClassify:
         monkeypatch.setattr("baskets.census.is_highly_composite", lambda n: False)
         for n in [*range(1, 20_001), 2047, 2_147_483_647, 3_215_031_751]:
             assert classify(solve(n)).prime == is_prime(n), n
+
+    def test_near_perfect_integer_rule_matches_float(self, monkeypatch):
+        # classify decides near-perfect as 20n - 9 > 0 and (20n - 9)^2 >
+        # 81(1 + 8N); it must agree with efficiency > 0.9 at every N <= 10^6,
+        # then through classify at the 200 N nearest the threshold and at
+        # N = 45 (exactly 0.9), 50 and 98.  The highly composite flag is
+        # stubbed out as above.
+        monkeypatch.setattr("baskets.census.is_highly_composite", lambda n: False)
+        ns = np.arange(10**6 + 1, dtype=np.int64)
+        n_max = compute_records(10**6).astype(np.int64)
+        efficiency = n_max[1:] / ((1.0 + np.sqrt(1.0 + 8.0 * ns[1:])) / 2.0)
+        lead = 20 * n_max[1:] - 9
+        exact = (lead > 0) & (lead * lead > 81 * (1 + 8 * ns[1:]))
+        assert np.array_equal(exact, efficiency > 0.9)
+        nearest = np.argsort(np.abs(efficiency - 0.9), kind="stable")[:200] + 1
+        for n in [*nearest.tolist(), 45, 50, 98]:
+            solution = solve(n)
+            flags = classify(solution)
+            assert flags.near_perfect == (solution.efficiency > 0.9 and not flags.perfect), n
 
     def test_perfect_never_decided_by_float(self):
         # every perfect flag must satisfy the exact integer identity

@@ -1,16 +1,23 @@
+import dataclasses
 import math
+import tracemalloc
 
 import pytest
 
 from baskets.arith import divisors, triangular
+from baskets.census import classify
 from baskets.solver import (
     InfeasibleError,
     PearDistribution,
+    Solution,
     canonical_distribution,
     feasible,
+    max_baskets,
     pear_bound,
     solve,
 )
+
+from .conftest import largest_basket_count
 
 
 class TestPearBound:
@@ -41,6 +48,24 @@ class TestFeasible:
             feasible(0, 10)
         with pytest.raises(ValueError):
             feasible(3, 0)
+
+
+class TestMaxBaskets:
+    def test_matches_downward_search_to_10k(self):
+        for n in range(1, 10_001):
+            assert max_baskets(n) == largest_basket_count(n), n
+
+    def test_edges_beyond_float_range(self):
+        # T(10^k) for k > 15 has no exact float; the bound must stay exact
+        for k in range(1, 201):
+            n = 10**k
+            t = triangular(n)
+            assert (max_baskets(t - 1), max_baskets(t), max_baskets(t + 1)) == (n - 1, n, n)
+
+    @pytest.mark.parametrize("n_input,bound,n_max", [(10, 5, 5), (45, 10, 9), (55, 11, 11)])
+    def test_solve_takes_largest_divisor_within_bound_at_ties(self, n_input, bound, n_max):
+        assert max_baskets(n_input) == bound
+        assert solve(n_input).n_max == max(d for d in divisors(n_input) if d <= bound) == n_max
 
 
 class TestCanonicalDistribution:
@@ -87,6 +112,21 @@ class TestSolve:
         assert solve(10).n_max == 5
         assert solve(45).n_max == 9
         assert solve(55).n_max == 11
+
+    def test_canonical_is_derived_not_stored(self):
+        assert "canonical" not in {f.name for f in dataclasses.fields(Solution)}
+        assert solve(60).canonical.counts == (0, 1, 2, 3, 4, 5, 6, 7, 8, 24)
+
+    def test_largest_hcn_below_10_to_12_stays_small(self):
+        # n_max = 1,385,670 here: a stored canonical list peaks near 63 MB
+        tracemalloc.start()
+        try:
+            flags = classify(solve(963_761_198_400))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert flags.near_perfect and flags.highly_composite
+        assert peak < 2 * 2**20
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
