@@ -127,8 +127,31 @@ def highly_composite_numbers(limit: int) -> list[int]:
 def is_highly_composite(n: int) -> bool:
     """True iff n has strictly more divisors than every smaller positive integer.
 
-    1 and 2 qualify; ties do not.
+    1 and 2 qualify; ties do not.  Most n are rejected by their prime
+    exponents alone: a record holder has non-increasing exponents
+    a1 >= a2 >= ... on the consecutive primes 2, 3, 5, ..., and, with q the
+    first prime not dividing n, p_i^j <= q for j = (a_i + 1) // 2, or else
+    m = n * q / p_i^j is smaller than n with
+    tau(m) = 2 tau(n) (a_i - j + 1) / (a_i + 1) >= tau(n).  Only the
+    survivors run :func:`highly_composite_numbers`.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    primes, exponents = [], []
+    rest, p = n, 2
+    while rest > 1:  # each pass divides out a prime or returns
+        a = 0
+        while rest % p == 0:
+            rest //= p
+            a += 1
+        if a == 0 or (exponents and a > exponents[-1]):
+            return False
+        primes.append(p)
+        exponents.append(a)
+        p += 1
+        # every prime below p is listed, so this is exact trial division
+        while any(p % r == 0 for r in primes):
+            p += 1
+    if any(r ** ((a + 1) // 2) > p for r, a in zip(primes, exponents)):
+        return False
     return highly_composite_numbers(n)[-1] == n

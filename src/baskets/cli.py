@@ -12,6 +12,7 @@ import csv
 import json
 import sys
 from decimal import ROUND_HALF_UP, Decimal
+from functools import cache
 from pathlib import Path
 
 from . import census, oracle
@@ -191,7 +192,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    Each parse fills a fresh Namespace, and the ``cmd_*`` handlers look up
+    the functions they call when they run, so reuse carries no state.
+    """
     parser = argparse.ArgumentParser(
         prog="baskets",
         description="Split N apples and N pears into the most baskets with "

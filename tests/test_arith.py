@@ -1,3 +1,4 @@
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -145,6 +146,29 @@ class TestHighlyComposite:
         # no upper limit: values past 10^4 are judged too
         assert is_highly_composite(10_080)
         assert not is_highly_composite(10_001)
+
+    def test_exponent_rule_matches_generator(self):
+        records = set(highly_composite_numbers(2 * 10**5))
+        for n in range(1, 2 * 10**5 + 1):
+            assert is_highly_composite(n) == (n in records), n
+
+    def test_every_record_to_10_to_12_survives(self):
+        # 4 = 2^2 and 36 = 2^2 * 3^2 must pass p^((a+1)//2) <= q with a = 2
+        records = highly_composite_numbers(10**12)
+        assert {4, 36} <= set(records)
+        assert all(is_highly_composite(n) for n in records)
+
+    @pytest.mark.parametrize("n", [2**200, 3 * 2**200, 10**100, 2**61 - 1])
+    def test_huge_inputs_rejected_in_small_memory(self, n):
+        # the generator alone is killed for memory at 10^100
+        tracemalloc.start()
+        try:
+            answer = is_highly_composite(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert answer is False
+        assert peak < 2**20
 
 
 class TestHighlyCompositeNumbers:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,6 +244,50 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "solve", broken_solve)
         with pytest.raises(ValueError, match="bug"):
             cli.main(["solve", "60"])
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("first,second,expected", [
+        (["count", "60", "--baskets", "5"], ["count", "60"], "baskets=10"),
+        (["solve", "60", "--format", "json"], ["solve", "60"], "N=60: 10 baskets"),
+        (["solve", "0"], ["solve", "60"], "N=60: 10 baskets"),
+    ])
+    def test_earlier_parse_leaves_no_trace(self, capsys, monkeypatch,
+                                           first, second, expected):
+        try:
+            cli.main(first)
+        except SystemExit as exc:
+            assert exc.code == cli.EXIT_USAGE
+        capsys.readouterr()
+        reused = run_cli(capsys, *second)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            fresh = run_cli(capsys, *second)
+        assert reused == fresh
+        assert reused[0] == cli.EXIT_OK and expected in reused[1]
+
+    def test_import_builds_no_parser(self):
+        script = (
+            "import argparse\n"
+            "calls = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    calls.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import baskets, baskets.cli\n"
+            "print(len(calls))\n"
+            "baskets.cli.build_parser()\n"
+            "print(len(calls) > 0)\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+        assert result.stdout == "0\nTrue\n"
 
 
 def test_feasibility_guard_matches_cli_expectations():
