@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from collections.abc import Iterator
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cache
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 from . import census, oracle
 from .arith import CapacityError, triangular
 from .census import ClassificationFlags
-from .solver import InfeasibleError, PearDistribution, Solution, solve
+from .solver import InfeasibleError, Solution, solve
 from .sweep import SweepConfig, run_sweep
 
 EXIT_OK = 0
@@ -28,6 +29,7 @@ EXIT_DOMAIN = 3
 EXIT_IO = 4
 
 TABLE_COLUMNS = ("N", "Bnd", "n", "k", "Eff", "distribution", "class")
+_CHUNK = 1 << 16
 
 
 class UsageError(ValueError):
@@ -59,21 +61,16 @@ def round_half_away(value: float, places: int) -> str:
     return str(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
-def format_distribution(dist: PearDistribution) -> str:
-    return "{" + ", ".join(str(c) for c in dist.counts) + "}"
+def _canonical_chunks(solution: Solution) -> Iterator[str]:
+    """The canonical list {0, 1, ..., n-2, (n-1)+S} as text, in blocks of 2^16 ints.
 
-
-def solution_to_dict(solution: Solution) -> dict:
-    """JSON payload; key names are a compatibility contract (see README)."""
-    return {
-        "n_input": solution.n_input,
-        "n_max": solution.n_max,
-        "apples_per_basket": solution.apples_per_basket,
-        "pear_bound": solution.pear_bound,
-        "efficiency": solution.efficiency,
-        "surplus": solution.surplus,
-        "canonical": list(solution.canonical.counts),
-    }
+    Joined, the blocks equal ", ".join(map(str, solution.canonical)). The list
+    is valid by construction, so it is neither built nor checked.
+    """
+    last = solution.n_max - 1
+    for lo in range(0, last, _CHUNK):
+        yield ", ".join(map(str, range(lo, min(lo + _CHUNK, last)))) + ", "
+    yield str(last + solution.surplus)
 
 
 def flags_to_dict(flags: ClassificationFlags) -> dict:
@@ -98,22 +95,37 @@ def table_row(solution: Solution, flags: ClassificationFlags) -> tuple[str, ...]
         str(solution.n_max),
         str(solution.apples_per_basket),
         round_half_away(solution.efficiency, 2),
-        format_distribution(solution.canonical),
+        "{" + "".join(_canonical_chunks(solution)) + "}",
         display,
     )
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     solution = solve(args.n)
+    out = sys.stdout
     if args.format == "json":
-        print(json.dumps(solution_to_dict(solution)))
+        # key names and order are a compatibility contract (see README);
+        # "canonical" comes last and is written in blocks
+        head = json.dumps({
+            "n_input": solution.n_input,
+            "n_max": solution.n_max,
+            "apples_per_basket": solution.apples_per_basket,
+            "pear_bound": solution.pear_bound,
+            "efficiency": solution.efficiency,
+            "surplus": solution.surplus,
+        })
+        out.write(head[:-1] + ', "canonical": [')
+        out.writelines(_canonical_chunks(solution))
+        out.write("]}\n")
         return EXIT_OK
     print(f"N={solution.n_input}: {solution.n_max} baskets, "
           f"{solution.apples_per_basket} apples per basket")
     print(f"pear bound {round_half_away(solution.pear_bound, 2)}, "
           f"efficiency {round_half_away(solution.efficiency, 2)}, "
           f"surplus {solution.surplus}")
-    print(f"pears: {format_distribution(solution.canonical)}")
+    out.write("pears: {")
+    out.writelines(_canonical_chunks(solution))
+    out.write("}\n")
     return EXIT_OK
 
 

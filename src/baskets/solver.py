@@ -63,10 +63,23 @@ def pear_bound(n_input: int) -> float:
     """(1 + sqrt(1 + 8N)) / 2: any feasible basket count n satisfies n <= bound.
 
     Reporting only; feasibility decisions stay in exact integers (`feasible`).
+    Past float range for 8N the bound comes from an integer square root; it
+    exceeds float range itself for N above about 1.6e616 (ValueError).
     """
     if n_input < 1:
         raise ValueError(f"n_input must be positive, got {n_input}")
-    return (1.0 + math.sqrt(1.0 + 8.0 * n_input)) / 2.0
+    try:
+        eight_n = 8.0 * n_input
+    except OverflowError:
+        eight_n = math.inf
+    if eight_n < math.inf:
+        return (1.0 + math.sqrt(1.0 + eight_n)) / 2.0
+    try:
+        return (1 + math.isqrt(1 + 8 * n_input)) / 2
+    except OverflowError:
+        raise ValueError(
+            "the pear bound exceeds float range for N above about 1.6e616"
+        ) from None
 
 
 def feasible(n: int, n_input: int) -> bool:

@@ -1,14 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from baskets import cli
 from baskets.arith import triangular
-from baskets.solver import feasible, pear_bound
+from baskets.solver import Solution, canonical_distribution, feasible, pear_bound, solve
 
 from .conftest import distinct_sets, read_series
 
@@ -82,6 +84,57 @@ class TestSolveCommand:
             assert len(counts) == p["n_max"]
             assert sum(counts) == n
             assert all(b > a for a, b in zip(counts, counts[1:]))
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+class TestCanonicalStreaming:
+    """`solve` writes the canonical list in blocks, never as a tuple."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 60, 61, 45, 55, 4949, 4951,
+                                   10**6 + 3, 48886437600])
+    def test_solve_bytes_match_the_built_list(self, capsys, n):
+        # 4949 and 4951 are T(100) - 1 and T(100) + 1
+        s = solve(n)
+        counts = canonical_distribution(s.n_max, n).counts
+        expected_json = json.dumps({
+            "n_input": s.n_input,
+            "n_max": s.n_max,
+            "apples_per_basket": s.apples_per_basket,
+            "pear_bound": s.pear_bound,
+            "efficiency": s.efficiency,
+            "surplus": s.surplus,
+            "canonical": list(counts),
+        }) + "\n"
+        assert run_cli(capsys, "solve", str(n), "--format", "json")[1] == expected_json
+        text = run_cli(capsys, "solve", str(n))[1]
+        assert text.splitlines()[-1] == "pears: {" + ", ".join(map(str, counts)) + "}"
+        assert text.endswith("}\n")
+
+    @pytest.mark.parametrize("last", [2**16 - 1, 2**16, 2**16 + 1, 2 * 2**16])
+    @pytest.mark.parametrize("surplus", [0, 7])
+    def test_block_edges(self, last, surplus):
+        n = last + 1
+        n_input = triangular(n) + surplus
+        solution = Solution(n_input=n_input, n_max=n, apples_per_basket=0,
+                            pear_bound=0.0, efficiency=0.0, surplus=surplus)
+        expected = ", ".join(map(str, canonical_distribution(n, n_input).counts))
+        assert "".join(cli._canonical_chunks(solution)) == expected
+
+    def test_memory_does_not_grow_with_n(self, monkeypatch):
+        # n_max = 311220: a built tuple, its list copy and the JSON text peak near 18 MiB
+        monkeypatch.setattr(sys, "stdout", _Discard())
+        tracemalloc.start()
+        try:
+            code = cli.main(["solve", "48886437600", "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_OK
+        assert peak < 8 * 2**20
 
 
 class TestTableCommand:

@@ -32,6 +32,14 @@ class TestPearBound:
         with pytest.raises(ValueError):
             pear_bound(0)
 
+    def test_past_float_range(self):
+        # 8.0 * 10^400 overflows a float; the bound itself is about 1.4e200
+        assert pear_bound(10**400) == pytest.approx(1.414213562373095e200, rel=1e-15)
+
+    def test_bound_past_float_range_names_the_limit(self):
+        with pytest.raises(ValueError, match="1.6e616"):
+            pear_bound(10**700)
+
 
 class TestFeasible:
     @pytest.mark.parametrize("n,n_input,expected", [
