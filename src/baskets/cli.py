@@ -142,18 +142,19 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.start > args.end:
         raise UsageError(f"empty range: {args.start} > {args.end}")
-    cells = [table_row(solution, census.classify(solution))
-             for solution in map(solve, range(args.start, args.end + 1))]
+    rows = (table_row(solution, census.classify(solution))
+            for solution in map(solve, range(args.start, args.end + 1)))
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(TABLE_COLUMNS)
-        writer.writerows(cells)
+        writer.writerows(rows)
     elif args.format == "markdown":
         print("| " + " | ".join(TABLE_COLUMNS) + " |")
         print("|" + "|".join(" --- " for _ in TABLE_COLUMNS) + "|")
-        for row in cells:
+        for row in rows:
             print("| " + " | ".join(row) + " |")
     else:
+        cells = list(rows)
         widths = [max(len(col), *(len(row[i]) for row in cells))
                   for i, col in enumerate(TABLE_COLUMNS)]
         print("  ".join(col.rjust(widths[i]) for i, col in enumerate(TABLE_COLUMNS)))

@@ -9,6 +9,7 @@ passes this test.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .arith import divisors, triangular
@@ -105,13 +106,35 @@ def require_feasible(n: int, n_input: int) -> None:
 def canonical_distribution(n: int, n_input: int) -> PearDistribution:
     """The distribution {0, 1, ..., n-2, (n-1)+S} with the whole surplus last.
 
-    For a single basket the distribution is just {n_input}.
+    It is the first value of the lexicographic enumeration; for a single
+    basket it is just {n_input}.
     """
     require_feasible(n, n_input)
-    if n == 1:
-        return PearDistribution((n_input,))
-    surplus = n_input - triangular(n)
-    return PearDistribution(tuple(range(n - 1)) + (n - 1 + surplus,))
+    return PearDistribution(next(_ascending_counts(n, n_input)))
+
+
+def _ascending_counts(n: int, n_input: int) -> Iterator[tuple[int, ...]]:
+    """Strictly increasing n-tuples summing to n_input, in lexicographic order.
+
+    The first is the canonical list.  Each step makes the successor in place:
+    at the last i < n-1 where v = counts[i] + 1 leaves room for the k = n-1-i
+    larger values after it (least sum k*v + T(k+1)), counts[i:-1] becomes
+    v, ..., v+k-1 and the last count takes the rest.  O(n) memory, O(n) per
+    result, no recursion.
+    """
+    counts = [*range(n - 1), n_input - triangular(n - 1)]
+    while True:
+        yield tuple(counts)
+        tail = counts[-1]
+        for i in range(n - 2, -1, -1):
+            tail += counts[i]
+            v, k = counts[i] + 1, n - 1 - i
+            if tail - v >= k * v + triangular(k + 1):
+                counts[i:-1] = range(v, v + k)
+                counts[-1] = tail - k * v - triangular(k)
+                break
+        else:
+            return
 
 
 def solve(n_input: int) -> Solution:

@@ -11,7 +11,7 @@ from baskets.census import (
     enumerate_distributions,
     perfect_values,
 )
-from baskets.solver import InfeasibleError, solve
+from baskets.solver import InfeasibleError, canonical_distribution, solve
 from baskets.sweep import compute_records
 
 from .conftest import distinct_sets, largest_basket_count
@@ -163,7 +163,7 @@ class TestEnumerateDistributions:
                 n += 1
 
     def test_canonical_is_first(self):
-        for n_input in (7, 10, 45, 60, 97):
+        for n_input in (7, 10, 17, 45, 60, 97):  # 17 is prime: one basket
             s = solve(n_input)
             first = enumerate_distributions(s.n_max, n_input, 1)[0]
             assert first.counts == s.canonical.counts
@@ -193,6 +193,18 @@ class TestEnumerateDistributions:
     def test_deep_enumeration_has_no_recursion_limit(self):
         (first,) = enumerate_distributions(1250, 10**6, 1)
         assert first.counts == solve(10**6).canonical.counts
+
+    @pytest.mark.parametrize("n", [631, 794])
+    @pytest.mark.parametrize("surplus", [30, 35, 40])
+    def test_long_successor_runs_at_wide_n(self, n, surplus):
+        n_input = triangular(n) + surplus
+        got = [d.counts for d in enumerate_distributions(n, n_input, 1000)]
+        assert len(got) == 1000
+        assert got[0] == canonical_distribution(n, n_input).counts
+        assert all(a < b for a, b in zip(got, got[1:]))
+        for counts in got:
+            assert len(counts) == n and sum(counts) == n_input
+            assert counts[0] >= 0 and len(set(counts)) == n
 
     def test_errors(self):
         with pytest.raises(InfeasibleError):

@@ -176,6 +176,20 @@ class TestTableCommand:
         assert rows[0].startswith("2147483647,") and rows[0].endswith(",prime")  # 2^31 - 1
         assert rows[1].startswith("2147483648,")
 
+    def test_csv_rows_are_streamed(self, monkeypatch):
+        # 3000 rows kept in one list before writing peak near 1.5 MiB; the
+        # cached parser is built first so that it is not counted
+        cli.build_parser()
+        monkeypatch.setattr(sys, "stdout", _Discard())
+        tracemalloc.start()
+        try:
+            code = cli.main(["table", "1", "3000", "--format", "csv"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_OK
+        assert peak < 0.5 * 2**20
+
 
 class TestClassifyCommand:
     def test_json(self, capsys):
