@@ -210,6 +210,36 @@ class TestClassifyCommand:
         assert payload["n_input"] == 2**31
         assert payload["near_perfect"] is True  # n_max = 2^16
 
+    # N -> (perfect, prime, near_perfect, highly_composite, display_class)
+    PINNED = {
+        1: (False, False, False, True, "highly_composite"),
+        2: (False, True, False, True, "prime"),
+        3: (True, True, False, False, "perfect"),
+        10: (True, False, False, False, "perfect"),
+        45: (False, False, False, False, "plain"),
+        50: (False, False, True, False, "near_perfect"),
+        55: (True, False, False, False, "perfect"),
+        60: (False, False, False, True, "highly_composite"),
+        61: (False, True, False, False, "prime"),
+        4950: (False, False, True, False, "near_perfect"),
+        2147483648: (False, False, True, False, "near_perfect"),
+    }
+
+    @pytest.mark.parametrize("n", sorted(PINNED))
+    def test_exact_bytes(self, capsys, n):
+        # the key order is a compatibility contract (see README), so the
+        # whole line is compared, not the parsed object
+        perfect, prime, near, hc, display = self.PINNED[n]
+        js = {True: "true", False: "false"}
+        _, out, _ = run_cli(capsys, "classify", str(n), "--format", "json")
+        assert out == (f'{{"n_input": {n}, "perfect": {js[perfect]}, '
+                       f'"prime": {js[prime]}, "near_perfect": {js[near]}, '
+                       f'"highly_composite": {js[hc]}, '
+                       f'"display_class": "{display}"}}\n')
+        _, out, _ = run_cli(capsys, "classify", str(n))
+        assert out == (f"perfect={perfect}\nprime={prime}\nnear_perfect={near}\n"
+                       f"highly_composite={hc}\ndisplay_class={display}\n")
+
 
 class TestCountCommand:
     def test_explicit_baskets(self, capsys):
