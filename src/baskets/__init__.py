@@ -12,7 +12,6 @@ from .arith import (
     triangular,
 )
 from .census import (
-    ClassificationFlags,
     classify,
     count_distributions,
     enumerate_distributions,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError",
-    "ClassificationFlags",
     "DivisorSieve",
     "InfeasibleError",
     "PearDistribution",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
 from .arith import is_highly_composite, triangular
@@ -13,23 +12,13 @@ from .solver import _ascending_counts
 DISPLAY_ORDER = ("perfect", "prime", "near_perfect", "highly_composite")
 
 
-@dataclass(frozen=True)
-class ClassificationFlags:
-    perfect: bool
-    prime: bool
-    near_perfect: bool
-    highly_composite: bool
+def classify(solution: Solution) -> dict:
+    """The object `classify --format json` prints for one solved N, apart from n_input.
 
-    @property
-    def display_class(self) -> str:
-        for name in DISPLAY_ORDER:
-            if getattr(self, name):
-                return name
-        return "plain"
-
-
-def classify(solution: Solution) -> ClassificationFlags:
-    """Non-exclusive flags for one solved N, decided in exact integers.
+    Its keys, in this order, are the compatibility contract (see README):
+    the non-exclusive flags perfect, prime, near_perfect and
+    highly_composite, decided in exact integers, then display_class, the
+    first set flag in DISPLAY_ORDER or "plain".
 
     Perfect is surplus 0: then N = n(n-1)/2 with n | N, so (n-1)/2 = N/n is
     an integer and n is odd (n = 1 cannot occur, as T(1) = 0 < N).
@@ -43,12 +32,14 @@ def classify(solution: Solution) -> ClassificationFlags:
     n, n_max = solution.n_input, solution.n_max
     perfect = solution.surplus == 0
     lead = 20 * n_max - 9
-    return ClassificationFlags(
-        perfect=perfect,
-        prime=n_max == 1 and n > 1 or n in (2, 3),
-        near_perfect=lead > 0 and lead * lead > 81 * (1 + 8 * n) and not perfect,
-        highly_composite=is_highly_composite(n),
-    )
+    flags = {
+        "perfect": perfect,
+        "prime": n_max == 1 and n > 1 or n in (2, 3),
+        "near_perfect": lead > 0 and lead * lead > 81 * (1 + 8 * n) and not perfect,
+        "highly_composite": is_highly_composite(n),
+    }
+    flags["display_class"] = next((name for name in DISPLAY_ORDER if flags[name]), "plain")
+    return flags
 
 
 def count_distributions(n: int, n_input: int) -> int:

@@ -18,7 +18,6 @@ from pathlib import Path
 
 from . import census, oracle
 from .arith import CapacityError, triangular
-from .census import ClassificationFlags
 from .solver import InfeasibleError, Solution, solve
 from .sweep import SweepConfig, run_sweep
 
@@ -73,20 +72,10 @@ def _canonical_chunks(solution: Solution) -> Iterator[str]:
     yield str(last + solution.surplus)
 
 
-def flags_to_dict(flags: ClassificationFlags) -> dict:
-    return {
-        "perfect": flags.perfect,
-        "prime": flags.prime,
-        "near_perfect": flags.near_perfect,
-        "highly_composite": flags.highly_composite,
-        "display_class": flags.display_class,
-    }
-
-
-def table_row(solution: Solution, flags: ClassificationFlags) -> tuple[str, ...]:
-    """The cells of one table row, in TABLE_COLUMNS order."""
+def table_row(solution: Solution, flags: dict) -> tuple[str, ...]:
+    """The cells of one table row, in TABLE_COLUMNS order; `flags` is from census.classify."""
     # the table column mirrors row shading, which has no highly-composite color
-    display = flags.display_class
+    display = flags["display_class"]
     if display == "highly_composite":
         display = "plain"
     return (
@@ -104,16 +93,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     solution = solve(args.n)
     out = sys.stdout
     if args.format == "json":
-        # key names and order are a compatibility contract (see README);
+        # the scalar keys are Solution's fields, in order (see README);
         # "canonical" comes last and is written in blocks
-        head = json.dumps({
-            "n_input": solution.n_input,
-            "n_max": solution.n_max,
-            "apples_per_basket": solution.apples_per_basket,
-            "pear_bound": solution.pear_bound,
-            "efficiency": solution.efficiency,
-            "surplus": solution.surplus,
-        })
+        head = json.dumps(vars(solution))
         out.write(head[:-1] + ', "canonical": [')
         out.writelines(_canonical_chunks(solution))
         out.write("]}\n")
@@ -132,9 +114,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     flags = census.classify(solve(args.n))
     if args.format == "json":
-        print(json.dumps({"n_input": args.n, **flags_to_dict(flags)}))
+        print(json.dumps({"n_input": args.n, **flags}))
         return EXIT_OK
-    for name, value in flags_to_dict(flags).items():
+    for name, value in flags.items():
         print(f"{name}={value}")
     return EXIT_OK
 

@@ -48,6 +48,8 @@ class PearDistribution:
 class Solution:
     """Full answer for one N; `canonical` is built from n_max when read."""
 
+    # These fields, in this order, are the scalar keys of `solve --format json`
+    # (the CLI writes vars() of a Solution); this list is their only statement.
     n_input: int
     n_max: int
     apples_per_basket: int

@@ -5,7 +5,6 @@ import pytest
 
 from baskets.arith import is_prime, triangular
 from baskets.census import (
-    ClassificationFlags,
     classify,
     count_distributions,
     enumerate_distributions,
@@ -20,42 +19,42 @@ from .conftest import distinct_sets, largest_basket_count
 class TestClassify:
     def test_perfect(self):
         flags = classify(solve(36))
-        assert flags.perfect and flags.display_class == "perfect"
+        assert flags["perfect"] and flags["display_class"] == "perfect"
 
     def test_prime(self):
         flags = classify(solve(53))
-        assert flags.prime and flags.display_class == "prime"
+        assert flags["prime"] and flags["display_class"] == "prime"
 
     def test_near_perfect(self):
         solution = solve(50)
         flags = classify(solution)
-        assert flags.near_perfect and flags.display_class == "near_perfect"
+        assert flags["near_perfect"] and flags["display_class"] == "near_perfect"
         assert round(solution.efficiency, 2) == 0.95
 
     def test_perfect_and_prime_both_set(self):
         flags = classify(solve(3))
-        assert flags.perfect and flags.prime
-        assert flags.display_class == "perfect"
+        assert flags["perfect"] and flags["prime"]
+        assert flags["display_class"] == "perfect"
 
     def test_highly_composite_is_lowest_priority(self):
         flags = classify(solve(60))
-        assert flags.highly_composite and not flags.near_perfect
-        assert flags.display_class == "highly_composite"
+        assert flags["highly_composite"] and not flags["near_perfect"]
+        assert flags["display_class"] == "highly_composite"
 
     def test_plain(self):
         flags = classify(solve(9))
-        assert flags == ClassificationFlags(False, False, False, False)
-        assert flags.display_class == "plain"
+        assert flags == {"perfect": False, "prime": False, "near_perfect": False,
+                         "highly_composite": False, "display_class": "plain"}
 
     def test_exact_efficiency_one_is_perfect_not_near(self):
         flags = classify(solve(55))
-        assert flags.perfect and not flags.near_perfect
+        assert flags["perfect"] and not flags["near_perfect"]
 
     def test_efficiency_exactly_point_nine_not_near(self):
         # N=45 has bound exactly 10.0, so efficiency is exactly 0.9
         solution = solve(45)
         assert solution.efficiency == 0.9
-        assert not classify(solution).near_perfect
+        assert not classify(solution)["near_perfect"]
 
     def test_prime_matches_trial_division(self, monkeypatch):
         # prime is read off n_max; is_prime's trial division is the arbiter.
@@ -63,7 +62,7 @@ class TestClassify:
         # would take most of the time.
         monkeypatch.setattr("baskets.census.is_highly_composite", lambda n: False)
         for n in [*range(1, 20_001), 2047, 2_147_483_647, 3_215_031_751]:
-            assert classify(solve(n)).prime == is_prime(n), n
+            assert classify(solve(n))["prime"] == is_prime(n), n
 
     def test_near_perfect_integer_rule_matches_float(self, monkeypatch):
         # classify decides near-perfect as 20n - 9 > 0 and (20n - 9)^2 >
@@ -82,14 +81,14 @@ class TestClassify:
         for n in [*nearest.tolist(), 45, 50, 98]:
             solution = solve(n)
             flags = classify(solution)
-            assert flags.near_perfect == (solution.efficiency > 0.9 and not flags.perfect), n
+            assert flags["near_perfect"] == (solution.efficiency > 0.9 and not flags["perfect"]), n
 
     def test_perfect_never_decided_by_float(self):
         # every perfect flag must satisfy the exact integer identity
         for n in range(1, 2001):
             flags = classify(solve(n))
             s = solve(n)
-            assert flags.perfect == (2 * n == s.n_max * (s.n_max - 1) and s.n_max % 2 == 1)
+            assert flags["perfect"] == (2 * n == s.n_max * (s.n_max - 1) and s.n_max % 2 == 1)
 
 
 class TestCountDistributions:
@@ -261,7 +260,7 @@ class TestPerfectValues:
     def test_matches_classify_to_10k(self):
         expected = {n_input for n_input, _ in perfect_values(10_000)}
         got = {n for n in range(1, 10_001)
-               if classify(solve(n)).perfect}
+               if classify(solve(n))["perfect"]}
         assert got == expected
 
     def test_perfect_means_unique_distribution(self):

@@ -4,7 +4,6 @@ import baskets
 # change to this set.
 PUBLIC = {
     "CapacityError",
-    "ClassificationFlags",
     "DivisorSieve",
     "InfeasibleError",
     "PearDistribution",

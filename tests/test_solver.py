@@ -133,7 +133,7 @@ class TestSolve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert flags.near_perfect and flags.highly_composite
+        assert flags["near_perfect"] and flags["highly_composite"]
         assert peak < 2 * 2**20
 
     def test_rejects_non_positive(self):

@@ -75,8 +75,8 @@ class TestComputeRecords:
             solution = solve(n)
             flags = classify(solution)
             assert n_max[n] == solution.n_max, n
-            assert (n in primes) == flags.prime, n
-            assert (n in perfect) == flags.perfect, n
+            assert (n in primes) == flags["prime"], n
+            assert (n in perfect) == flags["perfect"], n
 
     def test_thread_counts_agree(self):
         base = compute_records(20_000, thread_count=1)
@@ -95,8 +95,8 @@ class TestComputeRecords:
             solution = solve(n)
             flags = classify(solution)
             assert n_max[n] == solution.n_max, n
-            assert (n in primes) == flags.prime, n
-            assert (n in perfect) == flags.perfect, n
+            assert (n in primes) == flags["prime"], n
+            assert (n in perfect) == flags["perfect"], n
 
     def test_lean_columns_at_million(self):
         # one uint16 column: 2 bytes per N, and no whole-range bool, int64 or
