@@ -13,7 +13,7 @@ DISPLAY_ORDER = ("perfect", "prime", "near_perfect", "highly_composite")
 
 
 def classify(solution: Solution) -> dict:
-    """The object `classify --format json` prints for one solved N, apart from n_input.
+    """Exactly the object `classify --format json` prints for one N, apart from n_input.
 
     Its keys, in this order, are the compatibility contract (see README):
     the non-exclusive flags perfect, prime, near_perfect and

@@ -24,15 +24,14 @@ SOLVE_LIMIT = 10**12
 
 
 def _read_corpus():
-    with open(DATA_DIR / "factored_corpus.csv", newline="") as f:
-        rows = list(csv.DictReader(f))
     out = []
-    for row in rows:
-        factors = []
-        for power in row["factorisation"].split("*"):
-            p, _, e = power.partition("^")
-            factors.append((int(p), int(e or 1)))
-        out.append((int(row["N"]), factors, int(row["n_max"])))
+    with open(DATA_DIR / "factored_corpus.csv", newline="") as f:
+        for row in csv.DictReader(f):
+            factors = []
+            for power in row["factorisation"].split("*"):
+                p, _, e = power.partition("^")
+                factors.append((int(p), int(e or 1)))
+            out.append((int(row["N"]), factors, int(row["n_max"])))
     return out
 
 
