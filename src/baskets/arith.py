@@ -5,14 +5,13 @@ Single-N queries use trial division and the highly-composite generator; none
 of them needs a sieve, and the sweep reads its primes off its answers.
 :func:`build_sieve` (a bool sieve of Eratosthenes) and
 :meth:`DivisorSieve.highly_composite_table` serve no command; they stay
-because the benchmark's traced sweep run calls them.
+because the benchmark's traced sweep run calls them, and they import numpy
+only when called, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-
-import numpy as np
 
 # Hard cap on sweep and sieve size.  Below 2^31 every n_max fits in a uint16: an answer
 # of 65536 needs 65536 | N and N >= 65536*65535/2, and the first such N is 2^31.
@@ -26,16 +25,19 @@ class CapacityError(ValueError):
 class DivisorSieve:
     """Prime flags for every integer in [0, limit].
 
-    ``prime[n]`` is True exactly when ``n`` is prime.  Instances are immutable
-    after construction and safe to share across threads.
+    ``prime`` is a numpy bool array and ``prime[n]`` is True exactly when
+    ``n`` is prime.  Instances are immutable after construction and safe to
+    share across threads.
     """
 
-    def __init__(self, limit: int, prime: np.ndarray):
+    def __init__(self, limit: int, prime):
         self.limit = limit
         self.prime = prime
 
-    def highly_composite_table(self) -> np.ndarray:
-        """Boolean table of divisor-count record holders over [0, limit]."""
+    def highly_composite_table(self):
+        """numpy bool table of divisor-count record holders over [0, limit]."""
+        import numpy as np
+
         table = np.zeros(self.limit + 1, dtype=bool)
         table[highly_composite_numbers(self.limit)] = True
         return table
@@ -45,6 +47,8 @@ def build_sieve(limit: int) -> DivisorSieve:
     """Sieve of Eratosthenes: prime flags covering [0, limit]."""
     if limit < 2 or limit > SIEVE_CEILING:
         raise CapacityError(f"sieve limit must be in [2, {SIEVE_CEILING}], got {limit}")
+    import numpy as np
+
     prime = np.ones(limit + 1, dtype=bool)
     prime[:2] = False
     for p in range(2, isqrt(limit) + 1):
@@ -149,8 +153,7 @@ def is_highly_composite(n: int) -> bool:
         primes.append(p)
         exponents.append(a)
         p += 1
-        # every prime below p is listed, so this is exact trial division
-        while any(p % r == 0 for r in primes):
+        while not is_prime(p):
             p += 1
     if any(r ** ((a + 1) // 2) > p for r, a in zip(primes, exponents)):
         return False

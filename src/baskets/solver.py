@@ -39,10 +39,6 @@ class PearDistribution:
     def __len__(self):
         return len(self.counts)
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
 
 @dataclass(frozen=True)
 class Solution:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from baskets import build_sieve
+from baskets.arith import build_sieve
 
 DATA_DIR = Path(__file__).parent / "data"
 
