@@ -80,22 +80,28 @@ def compute_records(limit: int, sieve: DivisorSieve | None = None,
     """The answer for every N in [1, limit]: a uint16 array of length
     limit + 1, 2 bytes per N, whose entry N is n_max(N); entry 0 is unused.
 
-    Primes and perfect values are not stored: the emitters read them off
-    ``n_max`` and ``perfect_values``.  ``sieve`` is accepted and not read.
-    Raises CapacityError above ``SIEVE_CEILING``, before allocating anything.
+    One contiguous chunk runs on each of min(thread_count, CPUs, limit)
+    workers; each walks every divisor up to m(hi), so chunks beyond the CPUs
+    only add work.  thread_count (None: CPUs) can lower the count, never
+    raise it, and never changes the result.  Primes and perfect values are
+    not stored: the emitters read them off ``n_max`` and ``perfect_values``.
+    ``sieve`` is accepted and not read.  Raises ValueError for a limit or
+    thread_count below 1, and CapacityError above ``SIEVE_CEILING``, before
+    allocating anything.
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
+    if thread_count is not None and thread_count < 1:
+        raise ValueError(f"thread_count must be positive, got {thread_count}")
     if limit > SIEVE_CEILING:
         raise CapacityError(f"sweep limit must be at most {SIEVE_CEILING}, got {limit}")
 
-    workers = thread_count or os.cpu_count() or 1
-    workers = min(workers, limit)
+    workers = min(thread_count or limit, os.cpu_count() or 1, limit)
     # exact: below 2^31 every answer is under 65536 (see arith.SIEVE_CEILING)
     n_max = np.zeros(limit + 1, dtype=np.uint16)
     # contiguous chunks; workers write disjoint slices of the shared array
-    bounds = np.linspace(1, limit + 1, workers + 1, dtype=np.int64)
-    chunks = [(int(lo), int(hi) - 1) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    step = -(-limit // workers)
+    chunks = [(lo, min(lo + step - 1, limit)) for lo in range(1, limit + 1, step)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # max_baskets runs on this thread: perfbench's span tracer nests
         # spans per thread, so a traced call on a worker would have no parent
@@ -161,18 +167,9 @@ def _write_series(path: Path, ns: np.ndarray, n_max: np.ndarray) -> None:
             tmp.unlink()
 
 
-def _view_series(n_max: np.ndarray, view_limit: int, stride: int):
-    """(sampled, perfect, primes) index arrays for one view, ascending N."""
-    sampled = np.arange(stride, view_limit + 1, stride, dtype=np.int64)
-    perfect = np.array([n for n, _ in perfect_values(view_limit)], dtype=np.int64)
-    return sampled, perfect, _floor_primes(n_max, view_limit)
-
-
 def emit_datasets(n_max: np.ndarray, config: SweepConfig) -> list[Path]:
     """Write the datasets of `n_max` (from compute_records) under config.output_dir."""
     covered = len(n_max) - 1
-    if covered < 1:
-        raise ValueError("no records to emit")
     if covered < config.limit:
         raise ValueError(f"records cover [1, {covered}], need [1, {config.limit}]")
 
@@ -183,11 +180,14 @@ def emit_datasets(n_max: np.ndarray, config: SweepConfig) -> list[Path]:
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # every view starts at N = 1: its series are prefixes of the full ones
+    perfect = np.array([n for n, _ in perfect_values(config.limit)], dtype=np.int64)
+    primes = _floor_primes(n_max, config.limit)
     written = []
-    for view_limit, stride, (sampled_name, perfect_name, primes_name) in views:
-        sampled, perfect, primes = _view_series(n_max, view_limit, stride)
-        for name, indices in ((sampled_name, sampled), (perfect_name, perfect),
-                              (primes_name, primes)):
+    for view_limit, stride, names in views:
+        series = [np.arange(stride, view_limit + 1, stride, dtype=np.int64)]
+        series += [full[: np.searchsorted(full, view_limit, "right")] for full in (perfect, primes)]
+        for name, indices in zip(names, series):
             path = out_dir / name
             _write_series(path, indices, n_max[indices])
             written.append(path)

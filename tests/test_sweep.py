@@ -1,4 +1,6 @@
+import os
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from math import isqrt
 
 import numpy as np
@@ -6,10 +8,11 @@ import pytest
 
 from baskets.arith import build_sieve, highly_composite_numbers
 from baskets.census import classify, perfect_values
-from baskets.solver import solve
+from baskets.solver import max_baskets, solve
 from baskets.sweep import (
     MASK_BLOCK,
     SweepConfig,
+    _fill_n_max,
     _floor_primes,
     _write_series,
     compute_records,
@@ -83,6 +86,37 @@ class TestComputeRecords:
         for threads in (2, 4, 8):
             other = compute_records(20_000, thread_count=threads)
             assert np.array_equal(base, other)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_thread_count_below_one_rejected(self, threads):
+        # the same rule as SweepConfig: None means one worker per CPU
+        with pytest.raises(ValueError, match="thread_count"):
+            compute_records(10, thread_count=threads)
+
+    def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch):
+        asked = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                asked.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr("baskets.sweep.ThreadPoolExecutor", RecordingPool)
+        n_max = compute_records(64, thread_count=10**9)
+        assert len(asked) == 1 and 1 <= asked[0] <= (os.cpu_count() or 1)
+        assert np.array_equal(n_max, compute_records(64, thread_count=1))
+
+    @pytest.mark.parametrize("splits", [1, 3, 8])
+    def test_fill_is_the_same_for_any_chunking(self, splits):
+        # the thread cap keeps compute_records to at most one chunk per CPU,
+        # so the chunkings of a larger pool are checked on the fill itself;
+        # [1, 20000] crosses the thresholds T(d) = d(d-1)/2 of d up to 200
+        limit = 20_000
+        n_max = np.zeros(limit + 1, dtype=np.uint16)
+        for chunk in np.array_split(np.arange(1, limit + 1), splits):
+            lo, hi = int(chunk[0]), int(chunk[-1])
+            _fill_n_max(n_max, lo, hi, max_baskets(hi))
+        assert np.array_equal(n_max, compute_records(limit, thread_count=1))
 
     def test_random_sample_consistency_at_million(self):
         import random
