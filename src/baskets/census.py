@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import islice
 
 from .arith import is_highly_composite, triangular
@@ -75,12 +76,14 @@ def enumerate_distributions(n: int, n_input: int, limit: int) -> list[PearDistri
     return [PearDistribution(counts) for counts in chosen]
 
 
-def perfect_values(limit: int) -> list[tuple[int, int]]:
-    """All (N, n) with N <= limit, N = n(n-1)/2 and n odd, ascending.
+def perfect_values(limit: int) -> Iterator[tuple[int, int]]:
+    """The (N, n) with N <= limit, N = n(n-1)/2 and n odd, ascending, as an iterator.
 
     These are the inputs where the pear constraint is exactly tight and the
-    tight basket count still divides N; efficiency is exactly 1 there.
+    tight basket count still divides N; efficiency is exactly 1 there.  This
+    is the one statement of the rule; callers read the pairs as they come,
+    in O(1) memory.  A limit below 1 raises ValueError at the call.
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    return [(triangular(n), n) for n in range(3, max_baskets(limit) + 1, 2)]
+    return ((triangular(n), n) for n in range(3, max_baskets(limit) + 1, 2))

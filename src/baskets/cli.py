@@ -39,6 +39,12 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
+        # CPython 3.11 and 3.10.7+ refuse int() of more digits than this (0: no limit)
+        max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if max_digits and len(text) > max_digits:
+            raise argparse.ArgumentTypeError(
+                f"{len(text)} characters exceed the {max_digits}-digit integer limit "
+                "(sys.get_int_max_str_digits())") from None
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
@@ -155,14 +161,15 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_perfect(args: argparse.Namespace) -> int:
     pairs = census.perfect_values(args.limit)
+    out = sys.stdout
     if args.format == "csv":
-        print("N,nmax")
-        for n_input, n in pairs:
-            print(f"{n_input},{n}")
-    else:
-        for n_input, n in pairs:
-            print(f"N={n_input} baskets={n}")
-        print(f"{len(pairs)} perfect values <= {args.limit}")
+        out.write("N,nmax\n")
+        out.writelines(f"{n_input},{n}\n" for n_input, n in pairs)
+        return EXIT_OK
+    count = 0
+    for count, (n_input, n) in enumerate(pairs, 1):
+        out.write(f"N={n_input} baskets={n}\n")
+    out.write(f"{count} perfect values <= {args.limit}\n")
     return EXIT_OK
 
 

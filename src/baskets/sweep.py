@@ -3,7 +3,8 @@
 ``compute_records`` returns one uint16 array, the answer n_max for every N,
 and ``emit_datasets`` reads the rest off it: the N > 1 with answer 1 are
 exactly the primes of 5 or more (``census.classify`` gives the reason), and
-the perfect values come from ``census.perfect_values``.
+the perfect values are read one at a time from the iterator
+``census.perfect_values``, which ``run_sweep`` also counts.
 
 The scatter datasets come in two views: a mid-scale view capped at 10^4 and a
 full-limit view (written only when the limit exceeds 10^4).  Each view gets a
@@ -84,7 +85,8 @@ def compute_records(limit: int, sieve: DivisorSieve | None = None,
     workers; each walks every divisor up to m(hi), so chunks beyond the CPUs
     only add work.  thread_count (None: CPUs) can lower the count, never
     raise it, and never changes the result.  Primes and perfect values are
-    not stored: the emitters read them off ``n_max`` and ``perfect_values``.
+    not stored: the emitters read the primes off ``n_max`` and draw the
+    perfect values from the ``perfect_values`` iterator.
     ``sieve`` is accepted and not read.  Raises ValueError for a limit or
     thread_count below 1, and CapacityError above ``SIEVE_CEILING``, before
     allocating anything.
@@ -181,7 +183,7 @@ def emit_datasets(n_max: np.ndarray, config: SweepConfig) -> list[Path]:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # every view starts at N = 1: its series are prefixes of the full ones
-    perfect = np.array([n for n, _ in perfect_values(config.limit)], dtype=np.int64)
+    perfect = np.fromiter((n for n, _ in perfect_values(config.limit)), dtype=np.int64)
     primes = _floor_primes(n_max, config.limit)
     written = []
     for view_limit, stride, names in views:
@@ -205,7 +207,7 @@ def run_sweep(config: SweepConfig) -> SweepSummary:
     floor_primes = sum(int(np.count_nonzero(mask)) for _, mask in _floor_masks(n_max, limit))
     return SweepSummary(
         record_count=limit,
-        perfect_count=len(perfect_values(limit)),
+        perfect_count=sum(1 for _ in perfect_values(limit)),
         prime_count=floor_primes + sum(p <= limit for p in (2, 3)),
         elapsed_seconds=time.perf_counter() - started,
         paths=tuple(paths),

@@ -214,19 +214,19 @@ class TestEnumerateDistributions:
 
 class TestPerfectValues:
     def test_up_to_200(self):
-        assert perfect_values(200) == [
+        assert list(perfect_values(200)) == [
             (3, 3), (10, 5), (21, 7), (36, 9), (55, 11),
             (78, 13), (105, 15), (136, 17), (171, 19),
         ]
 
     def test_million_count(self):
-        assert len(perfect_values(1_000_000)) == 706
+        assert len(list(perfect_values(1_000_000))) == 706
 
     def test_matches_brute_force_to_5000(self):
         # every limit, so T(n) - 1, T(n) and T(n) + 1 for each odd and even n <= 100
         pairs = [(n * (n - 1) // 2, n) for n in range(3, 101, 2)]
         for limit in range(1, 5001):
-            assert perfect_values(limit) == [(t, n) for t, n in pairs if t <= limit], limit
+            assert list(perfect_values(limit)) == [(t, n) for t, n in pairs if t <= limit], limit
 
     @pytest.mark.parametrize("n", [1001, 1002, 44_721, 44_722])
     def test_edges_around_triangular(self, n):
@@ -235,22 +235,29 @@ class TestPerfectValues:
             while k * (k - 1) // 2 <= limit:
                 expected.append((k * (k - 1) // 2, k))
                 k += 2
-            assert perfect_values(limit) == expected, limit
+            assert list(perfect_values(limit)) == expected, limit
 
     def test_count_at_10_to_12(self):
         # odd n from 3 to m(L) inclusive, m(L) the largest n with T(n) <= L
-        assert len(perfect_values(10**12)) == (largest_basket_count(10**12) - 1) // 2
+        assert len(list(perfect_values(10**12))) == (largest_basket_count(10**12) - 1) // 2
 
     def test_below_smallest(self):
-        assert perfect_values(2) == []
-        assert perfect_values(1) == []
+        assert list(perfect_values(2)) == []
+        assert list(perfect_values(1)) == []
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             perfect_values(0)
 
+    def test_lazy(self):
+        # a list up to 10^18 would hold about 7e8 pairs
+        values = perfect_values(10**18)
+        assert iter(values) is values
+        assert next(values) == (3, 3)
+        assert next(values) == (10, 5)
+
     def test_structure(self):
-        values = perfect_values(100_000)
+        values = list(perfect_values(100_000))
         assert values == sorted(values)
         for n_input, n in values:
             assert n % 2 == 1 and n >= 3

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -280,6 +281,44 @@ class TestPerfectCommand:
         assert lines[0] == "N,nmax"
         assert lines[1] == "3,3" and lines[-1] == "171,19"
 
+    # sha256 of the output when perfect_values still returned a list; L = 1 and 2
+    # have no perfect value, so csv is the header alone and text "0 perfect values"
+    PINNED_SHA256 = {
+        (1, "text"): "a18c01ece444361a3726a54eeb24dd22da5fe735d4ab98c855af1ebc05664680",
+        (1, "csv"): "a8f7d8712d0175decfe344fafc64fd52b7420bbb97f72a4961a269aed58d1dd8",
+        (2, "text"): "dd6e5bf4e7537337acb6e0e66b6ea66c143e48f45312fc05bb879a52af25299e",
+        (2, "csv"): "a8f7d8712d0175decfe344fafc64fd52b7420bbb97f72a4961a269aed58d1dd8",
+        (3, "text"): "0c92fd8e45a3e164be2dcce804a705539d956e133abf6012951d96f2465d462c",
+        (3, "csv"): "f3aff7012c39b5ca89a68cee655bf0a084235f43a322c7a9d4db65ffdb7bfb24",
+        (5, "text"): "04780d5509809af1cdab999f456938c193872697b14f3fd940aed01cb8ed43a8",
+        (5, "csv"): "f3aff7012c39b5ca89a68cee655bf0a084235f43a322c7a9d4db65ffdb7bfb24",
+        (6, "text"): "dcbd28a98b030bc8e2886221e5bd017792098c767c57d2d16a341b111c5ab04b",
+        (6, "csv"): "f3aff7012c39b5ca89a68cee655bf0a084235f43a322c7a9d4db65ffdb7bfb24",
+        (100, "text"): "47c813fb25e43283809c250192b72fb766235bf0939c89a090742815fbf90530",
+        (100, "csv"): "0ccab20e2b64bcf8eb3746f409a0d15dd963fe18a5f819b15bf0dc06a04042f9",
+        (10**6, "text"): "0601b80d30b4f7c115201dfe36c3270676e2372df05869e73d11f8580e57a603",
+        (10**6, "csv"): "802f31a0a8e4359cc14929df6c498661fb754c40d3b4369a074e7b619fd14a01",
+    }
+
+    @pytest.mark.parametrize("limit,fmt", list(PINNED_SHA256))
+    def test_pinned_bytes(self, capsys, limit, fmt):
+        code, out, _ = run_cli(capsys, "perfect", "--limit", str(limit), "--format", fmt)
+        assert code == cli.EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_SHA256[limit, fmt]
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_memory_does_not_grow_with_limit(self, monkeypatch, fmt):
+        # 70,710 lines at 10^10: a built list of the pairs peaks near 9 MB
+        monkeypatch.setattr(sys, "stdout", _Discard())
+        tracemalloc.start()
+        try:
+            code = cli.main(["perfect", "--limit", str(10**10), "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_OK
+        assert peak < 1_000_000
+
 
 class TestSweepCommand:
     def test_summary_and_files(self, capsys, tmp_path):
@@ -327,6 +366,27 @@ class TestOracleCommand:
         with pytest.raises(SystemExit) as err:
             cli.main(["oracle", "--limit", "10001"])
         assert err.value.code == cli.EXIT_USAGE
+
+
+class TestArguments:
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter has no int-string digit limit")
+    def test_too_many_digits_is_usage_error(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        text = "9" * (limit + 1)
+        with pytest.raises(SystemExit) as err:
+            cli.main(["solve", text])
+        assert err.value.code == cli.EXIT_USAGE
+        message = capsys.readouterr().err
+        assert message.splitlines()[-1] == (
+            f"baskets solve: error: argument n: {limit + 1} characters exceed the "
+            f"{limit}-digit integer limit (sys.get_int_max_str_digits())")
+
+    def test_not_an_integer(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["solve", "12x"])
+        assert err.value.code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.endswith("argument n: '12x' is not an integer\n")
 
 
 class TestExitCodes:

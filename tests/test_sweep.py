@@ -151,7 +151,7 @@ class TestComputeRecords:
         n_max = compute_records(limit)
         primes = _floor_primes(n_max, limit)
         assert np.array_equal(primes, np.flatnonzero(n_max[2:] == 1) + 2)
-        perfect = perfect_values(limit)
+        perfect = list(perfect_values(limit))
         assert [int(n_max[n]) for n, _ in perfect] == [k for _, k in perfect]
 
     def test_prime_floor_density_10k(self):
@@ -196,7 +196,7 @@ class TestEmitDatasets:
         config = SweepConfig(limit=9000, output_dir=tmp_path, stride=1000)
         emit_datasets(compute_records(9000), config)
         rows = read_series(tmp_path / "nmax_perfect.csv")
-        assert rows == perfect_values(9000)
+        assert rows == list(perfect_values(9000))
 
     def test_primes_series_is_floor_only(self, tmp_path):
         config = SweepConfig(limit=200, output_dir=tmp_path)
@@ -278,7 +278,7 @@ class TestRunSweep:
     def test_summary_counts(self, tmp_path):
         summary = run_sweep(SweepConfig(limit=5000, output_dir=tmp_path))
         assert summary.record_count == 5000
-        assert summary.perfect_count == len(perfect_values(5000))
+        assert summary.perfect_count == len(list(perfect_values(5000)))
         assert summary.prime_count == 669  # primes up to 5000
         assert summary.elapsed_seconds > 0
         assert len(summary.paths) == 3
