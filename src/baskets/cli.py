@@ -258,6 +258,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InfeasibleError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except MemoryError:
+        print(f"error: the {args.command} request does not fit in memory", file=sys.stderr)
+        return EXIT_DOMAIN
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -66,14 +66,21 @@ def _fill_n_max(n_max: np.ndarray, lo: int, hi: int, largest: int) -> None:
     """Write the answer for every N in [lo, hi] into n_max; `largest` is
     max_baskets(hi).
 
-    A divisor d <= largest serves every multiple m >= d(d-1)/2; sweeping d
-    ascending and overwriting leaves the largest one in place.
+    A divisor d <= largest serves every multiple N >= T(d) = d(d-1)/2;
+    sweeping d ascending and overwriting leaves the largest one in place.
+    From T(2d) = d(2d-1) on, d is written only at its odd multiples: an even
+    multiple N = kd >= T(2d) is a multiple of 2d, and 2d <= m(N) <= largest,
+    so 2d, or a larger divisor, overwrites that slot later.
     """
     for d in range(1, largest + 1):
         start = max(d, d * (d - 1) // 2, lo)
+        skip = d * (2 * d - 1)
         first = -(-start // d) * d
+        if first < skip:  # every multiple in [T(d), T(2d))
+            n_max[first : min(hi + 1, skip) : d] = d
+        first = (-(-max(start, skip) // d) | 1) * d  # first odd multiple from T(2d)
         if first <= hi:
-            n_max[first : hi + 1 : d] = d
+            n_max[first : hi + 1 : 2 * d] = d
 
 
 def compute_records(limit: int, sieve: DivisorSieve | None = None,
@@ -142,11 +149,13 @@ def _format_rows(ns: np.ndarray, n_max: np.ndarray) -> bytes:
     keep = np.ones(grid.shape, dtype=bool)
     start = 0
     for column, width, separator in zip(columns, widths, b",\n"):
-        rest = column.copy()
+        # uint32 holds every 9-digit value, and its division is the cheaper
+        rest = column.astype(np.uint32 if width <= 9 else np.uint64)
         for place in range(start + width - 1, start - 1, -1):
-            grid[:, place] = rest % 10 + 48
-            keep[:, place] = rest > 0
-            rest //= 10
+            tens = rest // 10
+            np.add(rest - 10 * tens, 48, out=grid[:, place], casting="unsafe")
+            np.greater(rest, 0, out=keep[:, place])
+            rest = tens
         keep[:, start + width - 1] = True  # zero is written as "0"
         grid[:, start + width] = separator
         start += width + 1

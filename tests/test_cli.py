@@ -320,6 +320,18 @@ class TestPerfectCommand:
         assert peak < 1_000_000
 
 
+# sha256 of each file of a 10^7 sweep, the digests that perfbench's sweep
+# workload checks
+SWEEP_DIGESTS_1E7 = {
+    "nmax_sampled.csv": "b777e9a6fc9bedf0b5e9b12c27aedfb5afb069cf954b2466a53bb1e46f1ccb3b",
+    "nmax_perfect.csv": "1e3fa5cd7ea76e844b3780b4526dc33c2726bda91a69b9c04b1da0db1755a451",
+    "nmax_primes_10k.csv": "9fb57afe74a50075dcd971f90f64ba329316bebbd4e5310685e10cc6a35b6821",
+    "nmax_1m_sampled.csv": "8c793f67da5287f9fe82279e14f076d57c199133eba35c0529c255c738ca42d2",
+    "nmax_1m_perfect.csv": "2fe31477c3a2cdcefeb5395d0993368a08d3cda6a14dff16a3fdcbd6a9323cab",
+    "nmax_primes_1m.csv": "9109a8a7ab8ab84d48be05839d63e6651830a56d23abe087796ff8b30b236300",
+}
+
+
 class TestSweepCommand:
     def test_summary_and_files(self, capsys, tmp_path):
         out_dir = tmp_path / "datasets"
@@ -343,6 +355,17 @@ class TestSweepCommand:
         assert code == cli.EXIT_DOMAIN
         assert "error:" in err and out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_ten_million_bytes_are_pinned(self, capsys, tmp_path, threads):
+        code, out, _ = run_cli(capsys, "sweep", "--limit", "10000000",
+                               "--threads", threads, "--out", str(tmp_path))
+        assert code == 0
+        assert out.splitlines()[:3] == [
+            "records: 10000000", "perfect values: 2235", "primes: 664579"]
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.iterdir()}
+        assert digests == SWEEP_DIGESTS_1E7
 
     def test_unwritable_output_is_io_error(self, capsys, tmp_path):
         blocker = tmp_path / "blocker"

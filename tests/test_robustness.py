@@ -28,6 +28,7 @@ ROWS = [
     (["solve", TOO_MANY_DIGITS], 2,
      "baskets solve: error: argument n: 4301 characters exceed the 4300-digit integer limit"),
     (["sweep", "--limit", "1000000"], 0, ""),
+    (["count", "1000000000000"], 3, "error: the count request does not fit in memory"),
 ]
 
 

@@ -29,6 +29,27 @@ def reference_csv(ns, n_max) -> bytes:
     return "".join(lines).encode("ascii")
 
 
+def modulo_n_max(limit) -> np.ndarray:
+    """n_max for every N in [0, limit] by division, not strides: for each N the
+    largest d <= m(N) with N % d == 0 (entry 0 is unused)."""
+    ns = np.arange(limit + 1, dtype=np.int64)
+    largest = largest_basket_count(limit)
+    triangles = [d * (d - 1) // 2 for d in range(1, largest + 1)]
+    bound = np.searchsorted(triangles, ns, side="right")  # m(N): the d >= 1 with T(d) <= N
+    answer = np.zeros(limit + 1, dtype=np.int64)
+    for d in range(1, largest + 1):
+        answer[(ns % d == 0) & (d <= bound)] = d
+    return answer
+
+
+FILL_LIMIT = 200_000
+
+
+@pytest.fixture(scope="module")
+def divided():
+    return modulo_n_max(FILL_LIMIT)
+
+
 def prime_flags(limit) -> np.ndarray:
     """Sieve of Eratosthenes over [0, limit], independent of the package."""
     prime = np.ones(limit + 1, dtype=bool)
@@ -57,6 +78,10 @@ def reference_datasets(n_max, limit) -> dict[str, bytes]:
         for name, ns in zip(names, series):
             files[name] = reference_csv(ns, n_max[ns])
     return files
+
+
+# the widest 9-digit value and the values around the uint32 range
+DTYPE_EDGES = [999_999_999, 10**9, 2**31 - 1, 2**32 - 1, 2**32, 2**40]
 
 
 class TestConfig:
@@ -117,6 +142,27 @@ class TestComputeRecords:
             lo, hi = int(chunk[0]), int(chunk[-1])
             _fill_n_max(n_max, lo, hi, max_baskets(hi))
         assert np.array_equal(n_max, compute_records(limit, thread_count=1))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_fill_matches_division(self, divided, threads):
+        # the fill skips the even multiples that a larger divisor overwrites;
+        # the reference divides every N by every d
+        n_max = compute_records(FILL_LIMIT, thread_count=threads)
+        assert np.array_equal(n_max[1:], divided[1:])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 64, 150, 316])
+    def test_fill_ranges_at_the_skip(self, divided, d):
+        # d is written at every multiple below T(2d) = d(2d-1) and at the odd
+        # ones from there on: ranges that start or end at T(2d) - 1, T(2d) or
+        # T(2d) + d meet both slices at their edges
+        skip = d * (2 * d - 1)
+        for edge in (max(1, skip - 1), skip, skip + d):
+            for lo, hi in ((edge, edge), (edge, edge + 5 * d), (max(1, edge - 5 * d), edge)):
+                hi = min(hi, FILL_LIMIT)
+                n_max = np.zeros(FILL_LIMIT + 1, dtype=np.uint16)
+                _fill_n_max(n_max, lo, hi, largest_basket_count(hi))
+                assert np.array_equal(n_max[lo : hi + 1], divided[lo : hi + 1]), (lo, hi)
+                assert not n_max[:lo].any() and not n_max[hi + 1 :].any(), (lo, hi)
 
     def test_random_sample_consistency_at_million(self):
         import random
@@ -240,6 +286,20 @@ class TestEmitDatasets:
         _write_series(path, ns, n_max)
         assert path.read_bytes() == reference_csv(ns, n_max)
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("values", [[v] for v in DTYPE_EDGES] + [DTYPE_EDGES],
+                             ids=[*map(str, DTYPE_EDGES), "all"])
+    @pytest.mark.parametrize("at", [7, MASK_BLOCK - 3], ids=["inside", "across"])
+    def test_series_formatter_at_the_dtype_switch(self, tmp_path, values, at):
+        # digits are worked out in uint32 up to 9 digits and in uint64 past
+        # that; six rows from `at` hold one value repeated, or all six, inside
+        # the first block or across its edge, so each value widens its block
+        ns = np.arange(MASK_BLOCK + 8, dtype=np.int64)
+        ns[at : at + 6] = np.resize(values, 6)
+        n_max = np.resize(np.array([1, 65535, 10], dtype=np.uint16), len(ns))
+        path = tmp_path / "series.csv"
+        _write_series(path, ns, n_max)
+        assert path.read_bytes() == reference_csv(ns, n_max)
 
     def test_empty_records_rejected(self, tmp_path):
         empty = np.zeros(1, dtype=np.uint16)  # covers no N
