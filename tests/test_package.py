@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,7 +33,7 @@ PUBLIC = {
 
 # Names that live only in their own module, not at the package root.
 HOMES = {
-    baskets.sweep: ("SweepConfig", "SweepSummary", "compute_records", "emit_datasets", "run_sweep"),
+    baskets.sweep: ("SweepSummary", "compute_records", "emit_datasets", "run_sweep"),
     baskets.arith: ("DivisorSieve", "build_sieve"),
 }
 
@@ -66,3 +67,14 @@ def test_import_loads_numpy_only_with_the_batch_engine():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch):
+    # the README's one python block is the library's front page; it runs as
+    # written, and its sweep writes the 10^4 view under the working directory
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    [block] = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert sorted(p.name for p in (tmp_path / "datasets").iterdir()) == [
+        "nmax_perfect.csv", "nmax_primes_10k.csv", "nmax_sampled.csv"]

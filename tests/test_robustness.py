@@ -3,7 +3,9 @@ with a 1 GB address-space limit and a timeout.
 
 A row fails if the process times out, prints a traceback, exits with the
 wrong code, or ends stderr with a line that does not start with the row's
-prefix.  A row with the prefix "" wants stderr empty.
+prefix.  A row with the prefix "" wants stderr empty.  A sweep row without
+`--out` writes to the test's temporary directory; a row with `--out` gets a
+file of that name there, in the way of the datasets.
 """
 
 import os
@@ -29,6 +31,7 @@ ROWS = [
      "baskets solve: error: argument n: 4301 characters exceed the 4300-digit integer limit"),
     (["sweep", "--limit", "1000000"], 0, ""),
     (["count", "1000000000000"], 3, "error: the count request does not fit in memory"),
+    (["sweep", "--limit", "2147483647", "--out", "taken"], 4, "error: [Errno 17] File exists"),
 ]
 
 
@@ -38,7 +41,9 @@ def _limit_memory():
 
 @pytest.mark.parametrize("argv,code,prefix", ROWS, ids=[" ".join(row[0])[:40] for row in ROWS])
 def test_row(tmp_path, argv, code, prefix):
-    if argv[0] == "sweep":
+    if "--out" in argv:  # the row's --out names a file in the way of the datasets
+        (tmp_path / argv[argv.index("--out") + 1]).write_text("")
+    elif argv[0] == "sweep":
         argv = [*argv, "--out", str(tmp_path)]
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, "PYTHONINTMAXSTRDIGITS": "4300"}

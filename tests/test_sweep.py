@@ -11,7 +11,6 @@ from baskets.census import classify, perfect_values
 from baskets.solver import max_baskets, solve
 from baskets.sweep import (
     MASK_BLOCK,
-    SweepConfig,
     _fill_n_max,
     _floor_primes,
     _write_series,
@@ -86,18 +85,19 @@ DTYPE_EDGES = [999_999_999, 10**9, 2**31 - 1, 2**32 - 1, 2**32, 2**40]
 
 class TestConfig:
     def test_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            SweepConfig(limit=0, output_dir=tmp_path)
-        with pytest.raises(ValueError):
-            SweepConfig(limit=10, output_dir=tmp_path, stride=0)
-        with pytest.raises(ValueError):
-            SweepConfig(limit=10, output_dir=tmp_path, thread_count=0)
+        with pytest.raises(ValueError, match="limit"):
+            run_sweep(0, tmp_path)
+        with pytest.raises(ValueError, match="stride"):
+            run_sweep(10, tmp_path, stride=0)
+        with pytest.raises(ValueError, match="thread_count"):
+            run_sweep(10, tmp_path, thread_count=0)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestComputeRecords:
     def test_matches_single_n_path(self):
         n_max = compute_records(2000)
-        primes = set(_floor_primes(n_max, 2000).tolist()) | {2, 3}
+        primes = set(_floor_primes(n_max).tolist()) | {2, 3}
         perfect = {n for n, _ in perfect_values(2000)}
         for n in range(1, 2001):
             solution = solve(n)
@@ -114,7 +114,7 @@ class TestComputeRecords:
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_thread_count_below_one_rejected(self, threads):
-        # the same rule as SweepConfig: None means one worker per CPU
+        # the same rule as run_sweep: None means one worker per CPU
         with pytest.raises(ValueError, match="thread_count"):
             compute_records(10, thread_count=threads)
 
@@ -168,7 +168,7 @@ class TestComputeRecords:
         import random
 
         n_max = compute_records(1_000_000)
-        primes = set(_floor_primes(n_max, 1_000_000).tolist()) | {2, 3}
+        primes = set(_floor_primes(n_max).tolist()) | {2, 3}
         perfect = {n for n, _ in perfect_values(1_000_000)}
         rng = random.Random(20240601)
         for n in rng.sample(range(1, 1_000_001), 1000):
@@ -195,7 +195,7 @@ class TestComputeRecords:
     def test_masks_across_block_edges(self, limit):
         # the prime scan runs in blocks from N = 2: it equals one whole-range scan
         n_max = compute_records(limit)
-        primes = _floor_primes(n_max, limit)
+        primes = _floor_primes(n_max)
         assert np.array_equal(primes, np.flatnonzero(n_max[2:] == 1) + 2)
         perfect = list(perfect_values(limit))
         assert [int(n_max[n]) for n, _ in perfect] == [k for _, k in perfect]
@@ -209,44 +209,37 @@ class TestComputeRecords:
 
 class TestEmitDatasets:
     def test_small_limit_writes_three_files(self, tmp_path):
-        config = SweepConfig(limit=200, output_dir=tmp_path, stride=1)
-        n_max = compute_records(200)
-        paths = emit_datasets(n_max, config)
+        paths = emit_datasets(compute_records(200), tmp_path, stride=1)
         assert [p.name for p in paths] == [
             "nmax_sampled.csv", "nmax_perfect.csv", "nmax_primes_10k.csv",
         ]
 
     def test_large_limit_writes_six_files(self, tmp_path):
-        config = SweepConfig(limit=10_001, output_dir=tmp_path)
-        paths = emit_datasets(compute_records(10_001), config)
+        paths = emit_datasets(compute_records(10_001), tmp_path)
         assert [p.name for p in paths] == [
             "nmax_sampled.csv", "nmax_perfect.csv", "nmax_primes_10k.csv",
             "nmax_1m_sampled.csv", "nmax_1m_perfect.csv", "nmax_primes_1m.csv",
         ]
 
     def test_sampled_series_contents(self, tmp_path):
-        config = SweepConfig(limit=500, output_dir=tmp_path, stride=7)
-        emit_datasets(compute_records(500), config)
+        emit_datasets(compute_records(500), tmp_path, stride=7)
         rows = read_series(tmp_path / "nmax_sampled.csv")
         assert [n for n, _ in rows] == list(range(7, 501, 7))
         for n, n_max in rows:
             assert n_max == solve(n).n_max
 
     def test_default_stride_is_ten_for_small_view(self, tmp_path):
-        config = SweepConfig(limit=500, output_dir=tmp_path)
-        emit_datasets(compute_records(500), config)
+        emit_datasets(compute_records(500), tmp_path)
         rows = read_series(tmp_path / "nmax_sampled.csv")
         assert [n for n, _ in rows] == list(range(10, 501, 10))
 
     def test_perfect_series_complete_and_unsampled(self, tmp_path):
-        config = SweepConfig(limit=9000, output_dir=tmp_path, stride=1000)
-        emit_datasets(compute_records(9000), config)
+        emit_datasets(compute_records(9000), tmp_path, stride=1000)
         rows = read_series(tmp_path / "nmax_perfect.csv")
         assert rows == list(perfect_values(9000))
 
     def test_primes_series_is_floor_only(self, tmp_path):
-        config = SweepConfig(limit=200, output_dir=tmp_path)
-        emit_datasets(compute_records(200), config)
+        emit_datasets(compute_records(200), tmp_path)
         rows = read_series(tmp_path / "nmax_primes_10k.csv")
         assert all(n_max == 1 for _, n_max in rows)
         assert 2 not in {n for n, _ in rows} and 3 not in {n for n, _ in rows}
@@ -255,14 +248,13 @@ class TestEmitDatasets:
     def test_primes_series_matches_independent_sieve(self, tmp_path):
         # the series is read off n_max; a sieve of Eratosthenes is the arbiter
         limit = 2_000_000
-        emit_datasets(compute_records(limit), SweepConfig(limit=limit, output_dir=tmp_path))
+        emit_datasets(compute_records(limit), tmp_path)
         rows = read_series(tmp_path / "nmax_primes_1m.csv")
         expected = np.flatnonzero(prime_flags(limit)[5:]) + 5
         assert [n for n, _ in rows] == expected.tolist()
 
     def test_file_dialect(self, tmp_path):
-        config = SweepConfig(limit=50, output_dir=tmp_path, stride=13)
-        emit_datasets(compute_records(50), config)
+        emit_datasets(compute_records(50), tmp_path, stride=13)
         text = (tmp_path / "nmax_sampled.csv").read_text()
         assert text.startswith("N,nmax\n")
         assert text.endswith("\n")
@@ -273,7 +265,7 @@ class TestEmitDatasets:
         # 1-6: series of no rows (header only) or one row; 10^4 and 10^4 + 1: the
         # edge between the two views; 2*10^6: 148,931 prime rows, three blocks
         n_max = compute_records(limit)
-        paths = emit_datasets(n_max, SweepConfig(limit=limit, output_dir=tmp_path))
+        paths = emit_datasets(n_max, tmp_path)
         written = {p.name: p.read_bytes() for p in paths}
         assert written == reference_datasets(n_max, limit)
 
@@ -302,19 +294,25 @@ class TestEmitDatasets:
         assert path.read_bytes() == reference_csv(ns, n_max)
 
     def test_empty_records_rejected(self, tmp_path):
-        empty = np.zeros(1, dtype=np.uint16)  # covers no N
-        config = SweepConfig(limit=1, output_dir=tmp_path)
-        with pytest.raises(ValueError):
-            emit_datasets(empty, config)
+        for entries in (0, 1):  # no entries, or entry 0 only: the column covers no N
+            with pytest.raises(ValueError, match="cover"):
+                emit_datasets(np.zeros(entries, dtype=np.uint16), tmp_path / "out")
         assert list(tmp_path.iterdir()) == []
 
-    def test_undersized_data_rejected(self, tmp_path):
-        config = SweepConfig(limit=300, output_dir=tmp_path)
-        with pytest.raises(ValueError):
-            emit_datasets(compute_records(200), config)
+    def test_zero_stride_rejected(self, tmp_path):
+        # without the check, `stride or 10` would read 0 as the default
+        with pytest.raises(ValueError, match="stride"):
+            emit_datasets(compute_records(50), tmp_path, stride=0)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("limit", [10_000, 10_001])
+    def test_limit_is_the_column_length(self, tmp_path, limit):
+        # a prefix of a longer column is a whole sweep to its own end
+        n_max = compute_records(2 * 10**4)[: limit + 1]
+        written = {p.name: p.read_bytes() for p in emit_datasets(n_max, tmp_path)}
+        assert written == reference_datasets(n_max, limit)
 
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
-        config = SweepConfig(limit=50, output_dir=tmp_path)
         n_max = compute_records(50)
 
         def broken_replace(src, dst):
@@ -322,22 +320,20 @@ class TestEmitDatasets:
 
         monkeypatch.setattr("baskets.sweep.os.replace", broken_replace)
         with pytest.raises(OSError) as err:
-            emit_datasets(n_max, config)
+            emit_datasets(n_max, tmp_path)
         assert "nmax_sampled.csv" in str(err.value)  # offending path is named
         assert list(tmp_path.iterdir()) == []  # neither final file nor temp left
 
     def test_output_dir_collision_reports_io_error(self, tmp_path):
         in_the_way = tmp_path / "not_a_dir"
         in_the_way.write_text("")
-        config = SweepConfig(limit=10, output_dir=in_the_way)
         with pytest.raises(OSError):
-            emit_datasets(compute_records(10), config)
+            emit_datasets(compute_records(10), in_the_way)
 
 
 class TestRunSweep:
     def test_summary_counts(self, tmp_path):
-        summary = run_sweep(SweepConfig(limit=5000, output_dir=tmp_path))
-        assert summary.record_count == 5000
+        summary = run_sweep(5000, tmp_path)
         assert summary.perfect_count == len(list(perfect_values(5000)))
         assert summary.prime_count == 669  # primes up to 5000
         assert summary.elapsed_seconds > 0
@@ -350,22 +346,37 @@ class TestRunSweep:
     @pytest.mark.parametrize("limit,pi", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3),
                                           (10_000, 1229)])
     def test_prime_count_is_pi(self, tmp_path, limit, pi):
-        assert run_sweep(SweepConfig(limit=limit, output_dir=tmp_path)).prime_count == pi
+        assert run_sweep(limit, tmp_path).prime_count == pi
 
     @pytest.mark.parametrize("limit", [10_001, 200_000])
     def test_summary_counts_over_two_views(self, tmp_path, limit):
-        summary = run_sweep(SweepConfig(limit=limit, output_dir=tmp_path))
+        summary = run_sweep(limit, tmp_path)
         assert summary.prime_count == int(prime_flags(limit).sum())
         assert summary.perfect_count == (largest_basket_count(limit) - 1) // 2
         written = {p.name: p.read_bytes() for p in summary.paths}
         assert len(written) == 6
         assert written == reference_datasets(compute_records(limit), limit)
 
+    def test_bad_arguments_fail_before_the_fill(self, tmp_path, monkeypatch):
+        # a bad stride or output_dir is found before compute_records allocates
+        # the column, so even a limit near 2^31 fails at once
+        def no_fill(*args, **kwargs):
+            raise AssertionError("compute_records was called")
+
+        monkeypatch.setattr("baskets.sweep.compute_records", no_fill)
+        in_the_way = tmp_path / "not_a_dir"
+        in_the_way.write_text("")
+        with pytest.raises(ValueError, match="stride"):
+            run_sweep(2**31 - 1, tmp_path / "out", stride=0)
+        with pytest.raises(FileExistsError):
+            run_sweep(2**31 - 1, in_the_way)
+        assert list(tmp_path.iterdir()) == [in_the_way]
+
     def test_byte_identical_across_thread_counts(self, tmp_path):
         outputs = {}
         for threads in (1, 3):
             out = tmp_path / f"t{threads}"
-            run_sweep(SweepConfig(limit=30_000, output_dir=out, thread_count=threads))
+            run_sweep(30_000, out, thread_count=threads)
             outputs[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
         assert outputs[1] == outputs[3]
 
