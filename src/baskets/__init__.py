@@ -14,6 +14,7 @@ from .arith import (
     triangular,
 )
 from .census import (
+    PearDistribution,
     classify,
     count_distributions,
     enumerate_distributions,
@@ -22,9 +23,7 @@ from .census import (
 from .oracle import brute_force_n_max, verify_range
 from .solver import (
     InfeasibleError,
-    PearDistribution,
     Solution,
-    canonical_distribution,
     feasible,
     pear_bound,
     solve,
@@ -38,7 +37,6 @@ __all__ = [
     "PearDistribution",
     "Solution",
     "brute_force_n_max",
-    "canonical_distribution",
     "classify",
     "count_distributions",
     "divisors",

@@ -11,7 +11,8 @@ only when called, so importing this module does not load it.
 
 from __future__ import annotations
 
-from math import isqrt
+from collections.abc import Iterator
+from math import isqrt, prod
 
 # Hard cap on sweep and sieve size.  Below 2^31 every n_max fits in a uint16: an answer
 # of 65536 needs 65536 | N and N >= 65536*65535/2, and the first such N is 2^31.
@@ -89,20 +90,13 @@ def triangular(m: int) -> int:
     return m * (m - 1) // 2
 
 
-def highly_composite_numbers(limit: int) -> list[int]:
-    """Every n <= limit with strictly more divisors than each smaller positive
-    integer, ascending.  1 and 2 qualify; ties do not.
-
-    Candidates are the products 2^a1 * 3^a2 * ... * p_k^ak <= limit with
-    a1 >= a2 >= ... >= ak >= 1 (Ramanujan, 1915): sorting an integer's
-    exponents in decreasing order onto consecutive primes keeps its divisor
-    count and never makes it larger, so the records among the candidates are
-    the records among all integers.
-    """
+def _candidates(limit: int) -> Iterator[tuple[int, int]]:
+    """(m, tau(m)) for 1 and every product 2^a1 * 3^a2 * ... * p_k^ak <= limit
+    with a1 >= a2 >= ... >= ak >= 1, depth first and unsorted, none kept."""
     if limit < 1:
-        return []
+        return
+    yield 1, 1
     primes = [2]
-    candidates = [(1, 1)]  # (value, divisor count)
     # (value, divisor count, index of the next prime, largest exponent allowed)
     stack = [(1, 1, 0, limit.bit_length())]
     while stack:
@@ -118,10 +112,22 @@ def highly_composite_numbers(limit: int) -> list[int]:
             if value > limit:
                 break
             count = tau * (exp + 1)
-            candidates.append((value, count))
+            yield value, count
             stack.append((value, count, index + 1, exp))
+
+
+def highly_composite_numbers(limit: int) -> list[int]:
+    """Every n <= limit with strictly more divisors than each smaller positive
+    integer, ascending.  1 and 2 qualify; ties do not.
+
+    Candidates are the products 2^a1 * 3^a2 * ... * p_k^ak <= limit with
+    a1 >= a2 >= ... >= ak >= 1 (Ramanujan, 1915): sorting an integer's
+    exponents in decreasing order onto consecutive primes keeps its divisor
+    count and never makes it larger, so the records among the candidates are
+    the records among all integers.
+    """
     records, best = [], 0
-    for value, count in sorted(candidates):
+    for value, count in sorted(_candidates(limit)):
         if count > best:
             records.append(value)
             best = count
@@ -137,7 +143,7 @@ def is_highly_composite(n: int) -> bool:
     first prime not dividing n, p_i^j <= q for j = (a_i + 1) // 2, or else
     m = n * q / p_i^j is smaller than n with
     tau(m) = 2 tau(n) (a_i - j + 1) / (a_i + 1) >= tau(n).  Only the
-    survivors run :func:`highly_composite_numbers`.
+    survivors are checked against every smaller candidate, one at a time.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -157,4 +163,5 @@ def is_highly_composite(n: int) -> bool:
             p += 1
     if any(r ** ((a + 1) // 2) > p for r, a in zip(primes, exponents)):
         return False
-    return highly_composite_numbers(n)[-1] == n
+    tau = prod(a + 1 for a in exponents)
+    return all(count < tau for _, count in _candidates(n - 1))

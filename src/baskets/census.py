@@ -3,14 +3,35 @@
 from __future__ import annotations
 
 from collections.abc import Iterator
+from dataclasses import dataclass
 from itertools import islice
 
 from .arith import is_highly_composite, triangular
-from .solver import PearDistribution, Solution, max_baskets, require_feasible
-from .solver import _ascending_counts
+from .solver import Solution, max_baskets, require_feasible
 
 # Display precedence when several flags are set (classes are non-exclusive).
 DISPLAY_ORDER = ("perfect", "prime", "near_perfect", "highly_composite")
+
+
+@dataclass(frozen=True)
+class PearDistribution:
+    """Strictly increasing pear counts, one per basket."""
+
+    counts: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.counts:
+            raise ValueError("a distribution needs at least one basket")
+        if self.counts[0] < 0:
+            raise ValueError("pear counts must be non-negative")
+        if any(b <= a for a, b in zip(self.counts, self.counts[1:])):
+            raise ValueError("pear counts must be strictly increasing")
+
+    def __iter__(self):
+        return iter(self.counts)
+
+    def __len__(self):
+        return len(self.counts)
 
 
 def classify(solution: Solution) -> dict:
@@ -62,10 +83,34 @@ def count_distributions(n: int, n_input: int) -> int:
     return ways[surplus]
 
 
+def _ascending_counts(n: int, n_input: int) -> Iterator[tuple[int, ...]]:
+    """Strictly increasing n-tuples summing to n_input, in lexicographic order.
+
+    The first is the canonical list.  Each step makes the successor in place:
+    at the last i < n-1 where v = counts[i] + 1 leaves room for the k = n-1-i
+    larger values after it (least sum k*v + T(k+1)), counts[i:-1] becomes
+    v, ..., v+k-1 and the last count takes the rest.  O(n) memory, O(n) per
+    result, no recursion.
+    """
+    counts = [*range(n - 1), n_input - triangular(n - 1)]
+    while True:
+        yield tuple(counts)
+        tail = counts[-1]
+        for i in range(n - 2, -1, -1):
+            tail += counts[i]
+            v, k = counts[i] + 1, n - 1 - i
+            if tail - v >= k * v + triangular(k + 1):
+                counts[i:-1] = range(v, v + k)
+                counts[-1] = tail - k * v - triangular(k)
+                break
+        else:
+            return
+
+
 def enumerate_distributions(n: int, n_input: int, limit: int) -> list[PearDistribution]:
     """First `limit` valid distributions in lexicographic order.
 
-    They come from the lexicographic successor in the solver: O(n) memory,
+    They come from the lexicographic successor `_ascending_counts`: O(n) memory,
     O(n) per result, no recursion.  The first is the canonical distribution;
     when not truncated, the list length equals count_distributions(n, n_input).
     """

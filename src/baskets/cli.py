@@ -68,8 +68,8 @@ def round_half_away(value: float, places: int) -> str:
 def _canonical_chunks(solution: Solution) -> Iterator[str]:
     """The canonical list {0, 1, ..., n-2, (n-1)+S} as text, in blocks of 2^16 ints.
 
-    Joined, the blocks equal ", ".join(map(str, solution.canonical)). The list
-    is valid by construction, so it is neither built nor checked.
+    Joined, they are the counts of enumerate_distributions(n_max, N, 1)[0],
+    ", "-separated; valid by construction, so neither built nor checked.
     """
     last = solution.n_max - 1
     for lo in range(0, last, _CHUNK):

@@ -9,7 +9,6 @@ passes this test.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .arith import divisors, triangular
@@ -20,29 +19,10 @@ class InfeasibleError(ValueError):
 
 
 @dataclass(frozen=True)
-class PearDistribution:
-    """Strictly increasing pear counts, one per basket."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.counts:
-            raise ValueError("a distribution needs at least one basket")
-        if self.counts[0] < 0:
-            raise ValueError("pear counts must be non-negative")
-        if any(b <= a for a, b in zip(self.counts, self.counts[1:])):
-            raise ValueError("pear counts must be strictly increasing")
-
-    def __iter__(self):
-        return iter(self.counts)
-
-    def __len__(self):
-        return len(self.counts)
-
-
-@dataclass(frozen=True)
 class Solution:
-    """Full answer for one N; `canonical` is built from n_max when read."""
+    """Full answer for one N; its canonical list, which the CLI streams from
+    n_max and surplus, is enumerate_distributions(n_max, n_input, 1)[0].
+    """
 
     # These fields, in this order, are the scalar keys of `solve --format json`
     # (the CLI writes vars() of a Solution); this list is their only statement.
@@ -52,10 +32,6 @@ class Solution:
     pear_bound: float
     efficiency: float
     surplus: int
-
-    @property
-    def canonical(self) -> PearDistribution:
-        return canonical_distribution(self.n_max, self.n_input)
 
 
 def pear_bound(n_input: int) -> float:
@@ -99,40 +75,6 @@ def require_feasible(n: int, n_input: int) -> None:
         raise InfeasibleError(
             f"{n} baskets cannot hold distinct pear counts summing to {n_input}"
         )
-
-
-def canonical_distribution(n: int, n_input: int) -> PearDistribution:
-    """The distribution {0, 1, ..., n-2, (n-1)+S} with the whole surplus last.
-
-    It is the first value of the lexicographic enumeration; for a single
-    basket it is just {n_input}.
-    """
-    require_feasible(n, n_input)
-    return PearDistribution(next(_ascending_counts(n, n_input)))
-
-
-def _ascending_counts(n: int, n_input: int) -> Iterator[tuple[int, ...]]:
-    """Strictly increasing n-tuples summing to n_input, in lexicographic order.
-
-    The first is the canonical list.  Each step makes the successor in place:
-    at the last i < n-1 where v = counts[i] + 1 leaves room for the k = n-1-i
-    larger values after it (least sum k*v + T(k+1)), counts[i:-1] becomes
-    v, ..., v+k-1 and the last count takes the rest.  O(n) memory, O(n) per
-    result, no recursion.
-    """
-    counts = [*range(n - 1), n_input - triangular(n - 1)]
-    while True:
-        yield tuple(counts)
-        tail = counts[-1]
-        for i in range(n - 2, -1, -1):
-            tail += counts[i]
-            v, k = counts[i] + 1, n - 1 - i
-            if tail - v >= k * v + triangular(k + 1):
-                counts[i:-1] = range(v, v + k)
-                counts[-1] = tail - k * v - triangular(k)
-                break
-        else:
-            return
 
 
 def solve(n_input: int) -> Solution:

@@ -185,6 +185,9 @@ def emit_datasets(n_max: np.ndarray, output_dir, stride: int | None = None) -> l
     views = [(min(limit, SMALL_VIEW_LIMIT), stride or SMALL_VIEW_STRIDE, SMALL_VIEW_FILES)]
     if limit > SMALL_VIEW_LIMIT:
         views.append((limit, stride or FULL_VIEW_STRIDE, FULL_VIEW_FILES))
+    else:  # a full view left by an earlier, larger sweep would describe another limit
+        for name in FULL_VIEW_FILES:
+            (out_dir / name).unlink(missing_ok=True)
     # every view starts at N = 1: its series are prefixes of the full ones
     perfect = np.fromiter((n for n, _ in perfect_values(limit)), dtype=np.int64)
     primes = _floor_primes(n_max)

@@ -170,6 +170,18 @@ class TestHighlyComposite:
         assert answer is False
         assert peak < 2**20
 
+    def test_survivor_check_keeps_no_candidate_list(self):
+        # the largest HCN <= 10^18 passes the exponent rule; its candidates
+        # below it are compared one at a time (a stored list peaked at 4.5 MB)
+        tracemalloc.start()
+        try:
+            answer = is_highly_composite(897_612_484_786_617_600)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert answer is True
+        assert peak < 2**19
+
 
 class TestHighlyCompositeNumbers:
     def test_matches_divisor_count_sieve(self):

@@ -5,12 +5,13 @@ import pytest
 
 from baskets.arith import is_prime, triangular
 from baskets.census import (
+    PearDistribution,
     classify,
     count_distributions,
     enumerate_distributions,
     perfect_values,
 )
-from baskets.solver import InfeasibleError, canonical_distribution, solve
+from baskets.solver import InfeasibleError, solve
 from baskets.sweep import compute_records
 
 from .conftest import distinct_sets, largest_basket_count
@@ -136,6 +137,33 @@ class TestCountDistributions:
         assert count_distributions(10, 60) == 164
 
 
+class TestCanonicalDistribution:
+    """The canonical list {0, 1, ..., n-2, (n-1)+S} is the enumeration's first value."""
+
+    @pytest.mark.parametrize("n,n_input,expected", [
+        (10, 60, (0, 1, 2, 3, 4, 5, 6, 7, 8, 24)),
+        (13, 78, tuple(range(13))),
+        (9, 45, (0, 1, 2, 3, 4, 5, 6, 7, 17)),
+        (1, 7, (7,)),
+    ])
+    def test_examples(self, n, n_input, expected):
+        assert enumerate_distributions(n, n_input, 1)[0].counts == expected
+
+    def test_infeasible_pair(self):
+        with pytest.raises(InfeasibleError):
+            enumerate_distributions(12, 60, 1)
+
+    def test_distribution_validation(self):
+        with pytest.raises(ValueError):
+            PearDistribution((3, 3))
+        with pytest.raises(ValueError):
+            PearDistribution((5, 2))
+        with pytest.raises(ValueError):
+            PearDistribution((-1, 2))
+        with pytest.raises(ValueError):
+            PearDistribution(())
+
+
 class TestEnumerateDistributions:
     def test_pair_example(self):
         got = [d.counts for d in enumerate_distributions(2, 3, 10)]
@@ -165,7 +193,7 @@ class TestEnumerateDistributions:
         for n_input in (7, 10, 17, 45, 60, 97):  # 17 is prime: one basket
             s = solve(n_input)
             first = enumerate_distributions(s.n_max, n_input, 1)[0]
-            assert first.counts == s.canonical.counts
+            assert first.counts == (*range(s.n_max - 1), s.n_max - 1 + s.surplus)
 
     def test_sums_and_distinctness(self):
         for dist in enumerate_distributions(4, 30, 10**9):
@@ -191,7 +219,7 @@ class TestEnumerateDistributions:
 
     def test_deep_enumeration_has_no_recursion_limit(self):
         (first,) = enumerate_distributions(1250, 10**6, 1)
-        assert first.counts == solve(10**6).canonical.counts
+        assert first.counts == (*range(1249), 10**6 - triangular(1249))
 
     @pytest.mark.parametrize("n", [631, 794])
     @pytest.mark.parametrize("surplus", [30, 35, 40])
@@ -199,7 +227,7 @@ class TestEnumerateDistributions:
         n_input = triangular(n) + surplus
         got = [d.counts for d in enumerate_distributions(n, n_input, 1000)]
         assert len(got) == 1000
-        assert got[0] == canonical_distribution(n, n_input).counts
+        assert got[0] == (*range(n - 1), n_input - triangular(n - 1))
         assert all(a < b for a, b in zip(got, got[1:]))
         for counts in got:
             assert len(counts) == n and sum(counts) == n_input

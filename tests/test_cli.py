@@ -11,7 +11,8 @@ import pytest
 
 from baskets import cli
 from baskets.arith import triangular
-from baskets.solver import Solution, canonical_distribution, feasible, pear_bound, solve
+from baskets.census import enumerate_distributions
+from baskets.solver import Solution, feasible, pear_bound, solve
 
 from .conftest import distinct_sets, read_series
 
@@ -100,7 +101,7 @@ class TestCanonicalStreaming:
     def test_solve_bytes_match_the_built_list(self, capsys, n):
         # 4949 and 4951 are T(100) - 1 and T(100) + 1
         s = solve(n)
-        counts = canonical_distribution(s.n_max, n).counts
+        counts = enumerate_distributions(s.n_max, n, 1)[0].counts
         expected_json = json.dumps({
             "n_input": s.n_input,
             "n_max": s.n_max,
@@ -122,7 +123,8 @@ class TestCanonicalStreaming:
         n_input = triangular(n) + surplus
         solution = Solution(n_input=n_input, n_max=n, apples_per_basket=0,
                             pear_bound=0.0, efficiency=0.0, surplus=surplus)
-        expected = ", ".join(map(str, canonical_distribution(n, n_input).counts))
+        (first,) = enumerate_distributions(n, n_input, 1)
+        expected = ", ".join(map(str, first.counts))
         assert "".join(cli._canonical_chunks(solution)) == expected
 
     def test_memory_does_not_grow_with_n(self, monkeypatch):

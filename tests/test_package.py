@@ -16,7 +16,6 @@ PUBLIC = {
     "PearDistribution",
     "Solution",
     "brute_force_n_max",
-    "canonical_distribution",
     "classify",
     "count_distributions",
     "divisors",
@@ -78,3 +77,10 @@ def test_readme_library_block_runs(tmp_path, monkeypatch):
     exec(compile(block, "README.md", "exec"), {})
     assert sorted(p.name for p in (tmp_path / "datasets").iterdir()) == [
         "nmax_perfect.csv", "nmax_primes_10k.csv", "nmax_sampled.csv"]
+
+
+def test_pear_distributions_have_one_home():
+    # census owns every distribution; the solver answers N
+    assert baskets.PearDistribution is baskets.census.PearDistribution
+    for name in ("PearDistribution", "canonical_distribution", "_ascending_counts"):
+        assert not hasattr(baskets.solver, name), name

@@ -5,17 +5,8 @@ import tracemalloc
 import pytest
 
 from baskets.arith import divisors, triangular
-from baskets.census import classify
-from baskets.solver import (
-    InfeasibleError,
-    PearDistribution,
-    Solution,
-    canonical_distribution,
-    feasible,
-    max_baskets,
-    pear_bound,
-    solve,
-)
+from baskets.census import classify, enumerate_distributions
+from baskets.solver import Solution, feasible, max_baskets, pear_bound, solve
 
 from .conftest import largest_basket_count
 
@@ -76,44 +67,20 @@ class TestMaxBaskets:
         assert solve(n_input).n_max == max(d for d in divisors(n_input) if d <= bound) == n_max
 
 
-class TestCanonicalDistribution:
-    @pytest.mark.parametrize("n,n_input,expected", [
-        (10, 60, (0, 1, 2, 3, 4, 5, 6, 7, 8, 24)),
-        (13, 78, tuple(range(13))),
-        (9, 45, (0, 1, 2, 3, 4, 5, 6, 7, 17)),
-        (1, 7, (7,)),
-    ])
-    def test_examples(self, n, n_input, expected):
-        assert canonical_distribution(n, n_input).counts == expected
-
-    def test_infeasible_pair(self):
-        with pytest.raises(InfeasibleError):
-            canonical_distribution(12, 60)
-
-    def test_distribution_validation(self):
-        with pytest.raises(ValueError):
-            PearDistribution((3, 3))
-        with pytest.raises(ValueError):
-            PearDistribution((5, 2))
-        with pytest.raises(ValueError):
-            PearDistribution((-1, 2))
-        with pytest.raises(ValueError):
-            PearDistribution(())
-
-
 class TestSolve:
     def test_worked_sixty(self):
         s = solve(60)
         assert (s.n_max, s.apples_per_basket, s.surplus) == (10, 6, 15)
-        assert s.canonical.counts == (0, 1, 2, 3, 4, 5, 6, 7, 8, 24)
+        first = enumerate_distributions(s.n_max, 60, 1)[0]
+        assert first.counts == (0, 1, 2, 3, 4, 5, 6, 7, 8, 24)
 
     @pytest.mark.parametrize("n,n_max", [(17, 1), (1, 1), (200, 20)])
     def test_examples(self, n, n_max):
         assert solve(n).n_max == n_max
 
     def test_single_basket_distribution(self):
-        assert solve(1).canonical.counts == (1,)
-        assert solve(17).canonical.counts == (17,)
+        for n in (1, 17):
+            assert enumerate_distributions(solve(n).n_max, n, 1)[0].counts == (n,)
 
     def test_exact_ties_use_integer_comparison(self):
         # boundary cases where the pear constraint is an exact equality
@@ -123,7 +90,7 @@ class TestSolve:
 
     def test_canonical_is_derived_not_stored(self):
         assert "canonical" not in {f.name for f in dataclasses.fields(Solution)}
-        assert solve(60).canonical.counts == (0, 1, 2, 3, 4, 5, 6, 7, 8, 24)
+        assert not hasattr(Solution, "canonical")
 
     def test_largest_hcn_below_10_to_12_stays_small(self):
         # n_max = 1,385,670 here: a stored canonical list peaks near 63 MB
@@ -153,7 +120,7 @@ class TestSolve:
                     assert triangular(d) > n
             assert s.surplus == n - triangular(s.n_max)
             assert s.efficiency == s.n_max / s.pear_bound
-            counts = s.canonical.counts
+            counts = enumerate_distributions(s.n_max, n, 1)[0].counts
             assert len(counts) == s.n_max
             assert all(b > a for a, b in zip(counts, counts[1:]))
             assert counts[0] >= 0

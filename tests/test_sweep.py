@@ -372,6 +372,15 @@ class TestRunSweep:
             run_sweep(2**31 - 1, in_the_way)
         assert list(tmp_path.iterdir()) == [in_the_way]
 
+    def test_smaller_sweep_removes_the_full_view(self, tmp_path):
+        # a 10^4-or-less sweep into the directory of a larger one leaves no
+        # full-view file of the earlier limit behind
+        run_sweep(20_000, tmp_path)
+        summary = run_sweep(500, tmp_path)
+        written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(written) == sorted(p.name for p in summary.paths)
+        assert written == reference_datasets(compute_records(500), 500)
+
     def test_byte_identical_across_thread_counts(self, tmp_path):
         outputs = {}
         for threads in (1, 3):
