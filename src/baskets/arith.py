@@ -2,7 +2,8 @@
 numbers, triangular numbers.
 
 Single-N queries use trial division and the highly-composite generator; none
-of them needs a sieve, and the sweep reads its primes off its answers.
+of them needs a sieve, and the sweep reads its primes off its answers.  One
+generator, ``_small_divisors``, does all trial division (odd N on odd d only).
 :func:`build_sieve` (a bool sieve of Eratosthenes) and
 :meth:`DivisorSieve.highly_composite_table` serve no command; they stay
 because the benchmark's traced sweep run calls them, and they import numpy
@@ -12,6 +13,7 @@ only when called, so importing this module does not load it.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import islice
 from math import isqrt, prod
 
 # Hard cap on sweep and sieve size.  Below 2^31 every n_max fits in a uint16: an answer
@@ -20,7 +22,8 @@ SIEVE_CEILING = 2**31 - 1
 
 
 class CapacityError(ValueError):
-    """Requested sweep or sieve limit is outside the supported range."""
+    """A request is outside the supported range: a sweep or sieve limit, or an N
+    whose pear bound exceeds float range."""
 
 
 class DivisorSieve:
@@ -58,29 +61,32 @@ def build_sieve(limit: int) -> DivisorSieve:
     return DivisorSieve(limit, prime)
 
 
+def _small_divisors(n: int) -> Iterator[int]:
+    """Each divisor d <= sqrt(n) of n, ascending; odd n is tried on odd d only."""
+    for d in range(1, isqrt(n) + 1, 1 + n % 2):
+        if n % d == 0:
+            yield d
+
+
 def divisors(n: int) -> tuple[int, ...]:
-    """Complete sorted divisor list of n, by trial division up to sqrt(n)."""
+    """Complete sorted divisor list of n: each d <= sqrt(n), then n // d."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return tuple(small + large[::-1])
+    small = list(_small_divisors(n))
+    return (*small, *(n // d for d in reversed(small) if d * d != n))
 
 
 def is_prime(n: int) -> bool:
-    """True iff n has exactly two divisors."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
-            return False
-    return True
+    """True iff n has exactly two divisors: none up to sqrt(n) but 1."""
+    return n > 1 and not any(islice(_small_divisors(n), 1, None))
+
+
+def _next_prime(p: int) -> int:
+    """The least prime above p."""
+    p += 1
+    while not is_prime(p):
+        p += 1
+    return p
 
 
 def triangular(m: int) -> int:
@@ -102,10 +108,7 @@ def _candidates(limit: int) -> Iterator[tuple[int, int]]:
     while stack:
         base, tau, index, max_exp = stack.pop()
         if index == len(primes):
-            q = primes[-1] + 1
-            while not is_prime(q):
-                q += 1
-            primes.append(q)
+            primes.append(_next_prime(primes[-1]))
         value = base
         for exp in range(1, max_exp + 1):
             value *= primes[index]
@@ -158,9 +161,7 @@ def is_highly_composite(n: int) -> bool:
             return False
         primes.append(p)
         exponents.append(a)
-        p += 1
-        while not is_prime(p):
-            p += 1
+        p = _next_prime(p)
     if any(r ** ((a + 1) // 2) > p for r, a in zip(primes, exponents)):
         return False
     tau = prod(a + 1 for a in exponents)

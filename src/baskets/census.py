@@ -27,12 +27,6 @@ class PearDistribution:
         if any(b <= a for a, b in zip(self.counts, self.counts[1:])):
             raise ValueError("pear counts must be strictly increasing")
 
-    def __iter__(self):
-        return iter(self.counts)
-
-    def __len__(self):
-        return len(self.counts)
-
 
 def classify(solution: Solution) -> dict:
     """Exactly the object `classify --format json` prints for one N, apart from n_input.

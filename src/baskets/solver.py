@@ -9,9 +9,10 @@ passes this test.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .arith import divisors, triangular
+from .arith import CapacityError, divisors, triangular
 
 
 class InfeasibleError(ValueError):
@@ -39,7 +40,7 @@ def pear_bound(n_input: int) -> float:
 
     Reporting only; feasibility decisions stay in exact integers (`feasible`).
     Past float range for 8N the bound comes from an integer square root; it
-    exceeds float range itself for N above about 1.6e616 (ValueError).
+    exceeds float range itself for N above about 1.6e616 (CapacityError).
     """
     if n_input < 1:
         raise ValueError(f"n_input must be positive, got {n_input}")
@@ -52,7 +53,7 @@ def pear_bound(n_input: int) -> float:
     try:
         return (1 + math.isqrt(1 + 8 * n_input)) / 2
     except OverflowError:
-        raise ValueError(
+        raise CapacityError(
             "the pear bound exceeds float range for N above about 1.6e616"
         ) from None
 
@@ -81,8 +82,8 @@ def solve(n_input: int) -> Solution:
     """Maximize the basket count for n_input apples and n_input pears."""
     if n_input < 1:
         raise ValueError(f"n_input must be positive, got {n_input}")
-    largest = max_baskets(n_input)
-    n_max = max(d for d in divisors(n_input) if d <= largest)
+    divs = divisors(n_input)  # ascending, so the answer is the last one <= m(N)
+    n_max = divs[bisect_right(divs, max_baskets(n_input)) - 1]
     bound = pear_bound(n_input)
     return Solution(
         n_input=n_input,

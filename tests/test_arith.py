@@ -88,6 +88,56 @@ class TestDivisors:
             assert list(divs) == sorted(set(divs))
 
 
+def reference_divisors(n):
+    """Reference divisor list: every d <= sqrt(n) that divides n, then the cofactors."""
+    small, large = [], []
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+    return tuple(small + large[::-1])
+
+
+def reference_is_prime(n):
+    """Reference primality test: 2, or an odd n > 2 with no odd divisor up to sqrt(n)."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    for d in range(3, isqrt(n) + 1, 2):
+        if n % d == 0:
+            return False
+    return True
+
+
+class TestTrialDivisionEdges:
+    # n -> divisors(n); is_prime(n) is True exactly when the tuple has two entries
+    CASES = {
+        1: (1,),
+        2: (1, 2),
+        3: (1, 3),
+        4: (1, 2, 4),
+        9: (1, 3, 9),
+        25: (1, 5, 25),
+        2 * 10007: (1, 2, 10007, 2 * 10007),
+        10007**2: (1, 10007, 10007**2),
+        1000003 * 1000033: (1, 1000003, 1000033, 1000003 * 1000033),
+        10**12 + 39: (1, 10**12 + 39),
+    }
+
+    @pytest.mark.parametrize("n", sorted(CASES))
+    def test_case(self, n):
+        assert divisors(n) == self.CASES[n]
+        assert is_prime(n) is (len(self.CASES[n]) == 2)
+
+    def test_matches_reference_loops(self):
+        for n in range(-2, 100_001):
+            assert is_prime(n) == reference_is_prime(n), n
+            if n > 0:
+                assert divisors(n) == reference_divisors(n), n
+
+
 class TestIsPrime:
     @pytest.mark.parametrize("n,expected", [(53, True), (1, False), (60, False), (2, True)])
     def test_examples(self, n, expected):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from baskets import cli
+from baskets import cli, solver
 from baskets.arith import triangular
 from baskets.census import enumerate_distributions
 from baskets.solver import Solution, feasible, pear_bound, solve
@@ -426,6 +426,15 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "solve", broken_solve)
         with pytest.raises(ValueError, match="bug"):
             cli.main(["solve", "60"])
+
+    def test_pear_bound_past_float_range_is_a_domain_error(self, capsys, monkeypatch):
+        # until N can be factored, a 701-digit N reaches pear_bound only when
+        # its divisor list is stubbed out
+        monkeypatch.setattr(solver, "divisors", lambda n: (1,))
+        code, out, err = run_cli(capsys, "classify", "1" + "0" * 700)
+        assert code == cli.EXIT_DOMAIN
+        assert out == ""
+        assert err == "error: the pear bound exceeds float range for N above about 1.6e616\n"
 
 
 class TestParserReuse:

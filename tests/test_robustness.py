@@ -32,6 +32,9 @@ ROWS = [
     (["sweep", "--limit", "1000000"], 0, ""),
     (["count", "1000000000000"], 3, "error: the count request does not fit in memory"),
     (["sweep", "--limit", "2147483647", "--out", "taken"], 4, "error: [Errno 17] File exists"),
+    (["count", "60", "--baskets", "12"], 3,
+     "error: 12 baskets cannot hold distinct pear counts summing to 60"),
+    (["classify", "1000000000039"], 0, ""),
 ]
 
 
