@@ -82,9 +82,9 @@ def solve(n_input: int) -> Solution:
     """Maximize the basket count for n_input apples and n_input pears."""
     if n_input < 1:
         raise ValueError(f"n_input must be positive, got {n_input}")
+    bound = pear_bound(n_input)  # first: past float range it fails before factoring
     divs = divisors(n_input)  # ascending, so the answer is the last one <= m(N)
     n_max = divs[bisect_right(divs, max_baskets(n_input)) - 1]
-    bound = pear_bound(n_input)
     return Solution(
         n_input=n_input,
         n_max=n_max,

@@ -4,6 +4,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
+from baskets import arith
 from baskets.arith import (
     CapacityError,
     SIEVE_CEILING,
@@ -136,6 +137,74 @@ class TestTrialDivisionEdges:
             assert is_prime(n) == reference_is_prime(n), n
             if n > 0:
                 assert divisors(n) == reference_divisors(n), n
+
+
+def divisors_from_factors(factors):
+    """Sorted divisors of the product of p**e over the (p, e) pairs."""
+    divs = [1]
+    for p, e in factors:
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return tuple(sorted(divs))
+
+
+# Odd composites up to 10^5 that pass the strong test to base 2 (OEIS A001262)
+# and the strong Lucas test with Selfridge's parameters (OEIS A217255).
+BASE_2_PSEUDOPRIMES = (2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141,
+                       52633, 65281, 74665, 80581, 85489, 88357, 90751)
+LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309,
+                      58519, 75077, 97439)
+PSI13 = 3317044064679887385961981
+
+
+class TestFactoriser:
+    def test_strong_tests_pass_exactly_primes_and_known_pseudoprimes(self):
+        for n in range(15, 100_001, 2):
+            prime = reference_is_prime(n)
+            assert arith._strong_probable_prime(n, 2) == (prime or n in BASE_2_PSEUDOPRIMES), n
+            assert arith._strong_lucas_probable_prime(n) == (prime or n in LUCAS_PSEUDOPRIMES), n
+
+    def test_psi13_passes_the_thirteen_bases_and_fails_lucas(self):
+        bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+        assert all(arith._strong_probable_prime(PSI13, a) for a in bases)
+        assert not arith._strong_lucas_probable_prime(PSI13)
+
+    @pytest.mark.parametrize("n,expected", [
+        (2**89 - 1, True), (2**107 - 1, True), (2**127 - 1, True),
+        (2**67 - 1, False),  # 193707721 * 761838257287
+        ((2**61 - 1) * (2**89 - 1), False),
+        ((2**89 - 1) ** 2, False),
+        (PSI13 + 2, False),  # divisible by 3
+    ])
+    def test_large_n(self, n, expected):
+        assert is_prime(n) is expected
+
+    @pytest.mark.parametrize("factors", [
+        [(2, 5), (1009, 3), (1000003, 2)],
+        [(1009, 2)],
+        [(997, 2), (1009, 1)],
+        [(3, 1), (1000003, 1), (1000033, 1), (2**61 - 1, 1)],
+        [(193707721, 1), (761838257287, 1)],
+        [(2, 1), (2**89 - 1, 2)],
+    ], ids=str)
+    def test_large_factors_and_repeats(self, factors):
+        n = 1
+        for p, e in factors:
+            n *= p**e
+        assert divisors(n) == divisors_from_factors(factors)
+
+    def test_repeated_prime_costs_one_split(self, monkeypatch):
+        # rho splits 1000003 off 1000003 * 1000033^2 in 1022 steps; the
+        # 1000033^2 left must not be split again
+        monkeypatch.setattr(arith, "RHO_STEPS", 1024)
+        factors = [(1000003, 1), (1000033, 2)]
+        assert divisors(1000003 * 1000033**2) == divisors_from_factors(factors)
+
+    def test_rho_budget_names_the_cofactor(self, monkeypatch):
+        monkeypatch.setattr(arith, "RHO_STEPS", 64)
+        with pytest.raises(CapacityError, match=r"^cannot factor 1000036000099: .* 64 steps$"):
+            divisors(2**3 * 5 * 1000003 * 1000033)
+        # a prime cofactor above 997^2 spends none of the budget
+        assert divisors(6 * 1000003) == divisors_from_factors([(2, 1), (3, 1), (1000003, 1)])
 
 
 class TestIsPrime:

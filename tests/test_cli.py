@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from baskets import cli, solver
+from baskets import arith, cli
 from baskets.arith import triangular
 from baskets.census import enumerate_distributions
 from baskets.solver import Solution, feasible, pear_bound, solve
@@ -427,14 +427,20 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="bug"):
             cli.main(["solve", "60"])
 
-    def test_pear_bound_past_float_range_is_a_domain_error(self, capsys, monkeypatch):
-        # until N can be factored, a 701-digit N reaches pear_bound only when
-        # its divisor list is stubbed out
-        monkeypatch.setattr(solver, "divisors", lambda n: (1,))
+    def test_pear_bound_past_float_range_is_a_domain_error(self, capsys):
         code, out, err = run_cli(capsys, "classify", "1" + "0" * 700)
         assert code == cli.EXIT_DOMAIN
         assert out == ""
         assert err == "error: the pear bound exceeds float range for N above about 1.6e616\n"
+
+    @pytest.mark.parametrize("command", ["solve", "classify"])
+    def test_rho_budget_is_a_domain_error(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(arith, "RHO_STEPS", 64)
+        code, out, err = run_cli(capsys, command, str(6 * 1000003 * 1000033))
+        assert code == cli.EXIT_DOMAIN
+        assert out == ""
+        assert err == ("error: cannot factor 1000036000099: Pollard rho found no "
+                       "factor in 64 steps\n")
 
 
 class TestParserReuse:

@@ -12,6 +12,7 @@ import csv
 
 import pytest
 
+from baskets.arith import divisors, is_prime
 from baskets.census import classify
 from baskets.solver import max_baskets, solve
 
@@ -20,7 +21,6 @@ from .conftest import DATA_DIR
 # Strong-pseudoprime tests on these bases are exact below psi13.
 BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PSI13 = 3317044064679887385961981
-SOLVE_LIMIT = 10**12
 
 
 def _read_corpus():
@@ -80,22 +80,30 @@ def test_corpus_holds_the_hard_rows():
 @pytest.mark.parametrize("n_input,factors,n_max", CORPUS,
                          ids=[str(row[0]) for row in CORPUS])
 def test_factored_row(n_input, factors, n_max):
-    is_prime = factors == [(n_input, 1)]
+    prime = factors == [(n_input, 1)]
     if n_input < PSI13:
-        assert _strong_probable_prime(n_input) == is_prime
+        assert _strong_probable_prime(n_input) == prime
     product = 1
     for p, e in factors:
         assert p < PSI13 and _strong_probable_prime(p), p
         product *= p**e
     assert product == n_input
 
-    divisors = [1]
+    expected = [1]
     for p, e in factors:
-        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+        expected = [d * p**k for d in expected for k in range(e + 1)]
     largest = max_baskets(n_input)
-    assert max(d for d in divisors if d <= largest) == n_max
+    assert max(d for d in expected if d <= largest) == n_max
+    assert divisors(n_input) == tuple(sorted(expected))
+    assert is_prime(n_input) is prime
 
-    if n_input <= SOLVE_LIMIT:
-        solution = solve(n_input)
-        assert solution.n_max == n_max
-        assert classify(solution)["prime"] == is_prime
+    solution = solve(n_input)
+    assert solution.n_max == n_max
+    assert classify(solution)["prime"] == prime
+
+
+def test_psi13_is_not_prime():
+    # psi13 passes Miller-Rabin on all 13 bases, so below it they are exact
+    # and from it up the library needs BPSW
+    assert _strong_probable_prime(PSI13)
+    assert is_prime(PSI13) is False

@@ -35,6 +35,11 @@ ROWS = [
     (["count", "60", "--baskets", "12"], 3,
      "error: 12 baskets cannot hold distinct pear counts summing to 60"),
     (["classify", "1000000000039"], 0, ""),
+    (["solve", str(2**61 - 1), "--format", "json"], 0, ""),
+    (["classify", str(2**61 - 1)], 0, ""),
+    (["classify", str(10**30)], 0, ""),
+    (["classify", "--format", "json", str(10**617)], 3,
+     "error: the pear bound exceeds float range for N above about 1.6e616"),
 ]
 
 

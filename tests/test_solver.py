@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import random
 import tracemalloc
 
 import pytest
 
-from baskets.arith import divisors, triangular
+from baskets import solver
+from baskets.arith import CapacityError, divisors, triangular
 from baskets.census import classify, enumerate_distributions
 from baskets.solver import Solution, feasible, max_baskets, pear_bound, solve
 
@@ -102,6 +104,25 @@ class TestSolve:
             tracemalloc.stop()
         assert flags["near_perfect"] and flags["highly_composite"]
         assert peak < 2 * 2**20
+
+    def test_matches_sweep_column(self):
+        # the factoriser against the sweep's divisor-multiple fill: every
+        # N <= 2*10^5 and 5000 seeded random N <= 10^7
+        from baskets.sweep import compute_records
+
+        column = compute_records(10**7)
+        low = range(1, 2 * 10**5 + 1)
+        assert [solve(n).n_max for n in low] == column[1 : low[-1] + 1].tolist()
+        sample = random.Random(2601).sample(range(1, 10**7 + 1), 5000)
+        assert [solve(n).n_max for n in sample] == column[sample].tolist()
+
+    def test_past_float_range_fails_before_factoring(self, monkeypatch):
+        def unreachable(n):
+            raise AssertionError("divisors called")
+
+        monkeypatch.setattr(solver, "divisors", unreachable)
+        with pytest.raises(CapacityError, match="pear bound exceeds float range"):
+            solve(10**617)
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
