@@ -4,12 +4,12 @@ numbers, triangular numbers.
 Single-N queries factor N; none of them needs a sieve, and the sweep reads
 its primes off its answers.  Trial division by the primes up to 997 finishes
 most N; a cofactor left above 997^2 is tested for primality (Miller-Rabin on
-the prime bases 2..41 below psi13, BPSW from there up) and split by
-Pollard-Brent rho within ``RHO_STEPS`` steps.  :func:`build_sieve` (a bool
-sieve of Eratosthenes) and :meth:`DivisorSieve.highly_composite_table` serve
-no command; they stay because the benchmark's traced sweep run calls them,
-and they import numpy only when called, so importing this module does not
-load it.
+the prime bases 2..41 below psi13, BPSW from there up), then for a perfect
+power by integer k-th roots, and split by Pollard-Brent rho within
+``RHO_STEPS`` steps.  :func:`build_sieve` (a bool sieve of Eratosthenes) and
+:meth:`DivisorSieve.highly_composite_table` serve no command; they stay
+because the benchmark's traced sweep run calls them, and they import numpy
+only when called, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -179,6 +179,26 @@ def _rho(n: int, budget: int) -> tuple[int, int]:
             return g, budget
 
 
+def _root(m: int, k: int) -> int:
+    """floor(m^(1/k)) for m >= 1, by Newton's method from above."""
+    x = 1 << -(-m.bit_length() // k)
+    while (y := ((k - 1) * x + m // x ** (k - 1)) // k) < x:
+        x = y
+    return x
+
+
+def _perfect_power_root(m: int) -> int | None:
+    """r with m = r^k for a prime k <= 997, if there is one, for an m with no
+    prime factor below 1009: then r >= 1009 > 2^9, so k <= m.bit_length() // 9."""
+    for k in _PRIMES:
+        if k > m.bit_length() // 9:
+            return None
+        root = _root(m, k)
+        if root**k == m:
+            return root
+    return None
+
+
 def _large_prime_factors(n: int) -> list[int]:
     """The distinct primes of n > 997^2, which has no prime factor up to 997."""
     primes, stack, budget = [], [n], RHO_STEPS
@@ -189,11 +209,10 @@ def _large_prime_factors(n: int) -> list[int]:
                 m //= p
         if m == 1:
             continue
-        root = isqrt(m)
-        if root * root == m:  # rho would have to split p^2 at p
-            stack.append(root)
-        elif _probable_prime(m):
+        if _probable_prime(m):
             primes.append(m)
+        elif root := _perfect_power_root(m):  # rho would have to split p^k at p
+            stack.append(root)
         else:
             d, budget = _rho(m, budget)
             stack += (m // d, d)  # d, most often the least prime, first

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
+from operator import add, lt
 
 from .arith import is_highly_composite, triangular
 from .solver import Solution, max_baskets, require_feasible
@@ -24,7 +25,7 @@ class PearDistribution:
             raise ValueError("a distribution needs at least one basket")
         if self.counts[0] < 0:
             raise ValueError("pear counts must be non-negative")
-        if any(b <= a for a, b in zip(self.counts, self.counts[1:])):
+        if not all(map(lt, self.counts, self.counts[1:])):
             raise ValueError("pear counts must be strictly increasing")
 
 
@@ -63,18 +64,26 @@ def count_distributions(n: int, n_input: int) -> int:
 
     Subtracting the forced minimum {0, 1, ..., n-1} leaves a surplus S to
     spread while keeping the counts distinct; the arrangements correspond
-    one-to-one with partitions of S into at most n parts, counted here by
-    dynamic programming in O(S*n).  Counts are exact bignums.
+    one-to-one with partitions of S into at most n parts, i.e. (conjugating)
+    into parts of size at most n.  The dynamic programme adds one part size
+    at a time, from min(n, S) down to 2, as ways[s] += ways[s - part] for
+    ascending s; largest parts first keep the counts small for longer.  Each
+    update runs in C: for part^2 <= S as one running sum per residue class
+    mod part, otherwise as one vector add per block of part cells, so a part
+    costs min(part, S/part) Python-level steps.  Parts of size 1 then make
+    up every total to S, which is sum(ways).  O(S*n) exact bignum adds.
     """
     require_feasible(n, n_input)
     surplus = n_input - triangular(n)
-    # partitions of `surplus` into parts of size <= n (conjugate of "at most n parts")
-    ways = [0] * (surplus + 1)
-    ways[0] = 1
-    for part in range(1, min(n, surplus) + 1):
-        for total in range(part, surplus + 1):
-            ways[total] += ways[total - part]
-    return ways[surplus]
+    ways = [1] + [0] * surplus
+    for part in range(min(n, surplus), 1, -1):
+        if part * part <= surplus:
+            for r in range(part):
+                ways[r::part] = accumulate(ways[r::part])
+        else:
+            for lo in range(part, surplus + 1, part):
+                ways[lo : lo + part] = map(add, ways[lo : lo + part], ways[lo - part : lo])
+    return sum(ways)
 
 
 def _ascending_counts(n: int, n_input: int) -> Iterator[tuple[int, ...]]:

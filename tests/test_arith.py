@@ -185,12 +185,22 @@ class TestFactoriser:
         [(3, 1), (1000003, 1), (1000033, 1), (2**61 - 1, 1)],
         [(193707721, 1), (761838257287, 1)],
         [(2, 1), (2**89 - 1, 2)],
+        # rho exhausts its budget on these powers; an integer k-th root finds them
+        [(10**14 + 31, 3)],
+        [(10**14 + 31, 5)],
+        [(1009, 2), (10**14 + 31, 3)],
     ], ids=str)
     def test_large_factors_and_repeats(self, factors):
         n = 1
         for p, e in factors:
             n *= p**e
         assert divisors(n) == divisors_from_factors(factors)
+
+    def test_root_is_the_floor_of_the_kth_root(self):
+        for k in range(2, 8):
+            for m in [*range(1, 3000), *(r**k + d for r in (1009, 2**89 - 1) for d in (-1, 0, 1))]:
+                root = arith._root(m, k)
+                assert root**k <= m < (root + 1) ** k, (m, k)
 
     def test_repeated_prime_costs_one_split(self, monkeypatch):
         # rho splits 1000003 off 1000003 * 1000033^2 in 1022 steps; the

@@ -92,6 +92,17 @@ class TestClassify:
             assert flags["perfect"] == (2 * n == s.n_max * (s.n_max - 1) and s.n_max % 2 == 1)
 
 
+def reference_ways(n, surplus):
+    """Partitions of every total up to surplus into parts of size at most n,
+    by the ascending double loop: one bytecode add per cell."""
+    ways = [0] * (surplus + 1)
+    ways[0] = 1
+    for part in range(1, min(n, surplus) + 1):
+        for total in range(part, surplus + 1):
+            ways[total] += ways[total - part]
+    return ways
+
+
 class TestCountDistributions:
     def test_tight_case_unique(self):
         # n=1 is excluded: its tight sum would be 0, below the puzzle domain
@@ -136,6 +147,21 @@ class TestCountDistributions:
     def test_fields(self):
         assert count_distributions(10, 60) == 164
 
+    def test_matches_reference_loop(self):
+        # every small (n, S); S = p^2 - 1, p^2, p^2 + 1 at n around p, where
+        # the update switches from vector adds per block to running sums per
+        # residue class; and the sizes the benchmark's counts reach
+        for n in range(1, 31):
+            for surplus, expected in enumerate(reference_ways(n, 120)):
+                if triangular(n) + surplus >= 1:
+                    assert count_distributions(n, triangular(n) + surplus) == expected, (n, surplus)
+        rows = [(n, surplus) for p in (2, 3, 10, 31) for surplus in (p * p - 1, p * p, p * p + 1)
+                for n in (p - 1, p, p + 1, 2 * p, surplus)]
+        rows += [(84, 15523), (105, 15053), (95, 14906), (183, 27674)]
+        for n, surplus in rows:
+            expected = reference_ways(n, surplus)[-1]
+            assert count_distributions(n, triangular(n) + surplus) == expected, (n, surplus)
+
 
 class TestCanonicalDistribution:
     """The canonical list {0, 1, ..., n-2, (n-1)+S} is the enumeration's first value."""
@@ -162,6 +188,15 @@ class TestCanonicalDistribution:
             PearDistribution((-1, 2))
         with pytest.raises(ValueError):
             PearDistribution(())
+
+    def test_validation_of_long_counts(self):
+        counts = tuple(range(700))
+        PearDistribution(counts)
+        for bad in ((*counts[:-1], counts[-2]),  # a tie in the last pair
+                    (*counts[:350], counts[349] - 1, *counts[351:]),  # a descent mid-way
+                    (-1, *counts[1:])):
+            with pytest.raises(ValueError):
+                PearDistribution(bad)
 
 
 class TestEnumerateDistributions:
@@ -221,7 +256,7 @@ class TestEnumerateDistributions:
         (first,) = enumerate_distributions(1250, 10**6, 1)
         assert first.counts == (*range(1249), 10**6 - triangular(1249))
 
-    @pytest.mark.parametrize("n", [631, 794])
+    @pytest.mark.parametrize("n", [631, 702, 794])
     @pytest.mark.parametrize("surplus", [30, 35, 40])
     def test_long_successor_runs_at_wide_n(self, n, surplus):
         n_input = triangular(n) + surplus
@@ -232,6 +267,7 @@ class TestEnumerateDistributions:
         for counts in got:
             assert len(counts) == n and sum(counts) == n_input
             assert counts[0] >= 0 and len(set(counts)) == n
+            assert all(a < b for a, b in zip(counts, counts[1:]))
 
     def test_errors(self):
         with pytest.raises(InfeasibleError):

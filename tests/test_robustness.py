@@ -38,6 +38,7 @@ ROWS = [
     (["solve", str(2**61 - 1), "--format", "json"], 0, ""),
     (["classify", str(2**61 - 1)], 0, ""),
     (["classify", str(10**30)], 0, ""),
+    (["classify", str((10**14 + 31) ** 3)], 0, ""),
     (["classify", "--format", "json", str(10**617)], 3,
      "error: the pear bound exceeds float range for N above about 1.6e616"),
 ]
