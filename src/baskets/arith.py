@@ -6,7 +6,8 @@ its primes off its answers.  Trial division by the primes up to 997 finishes
 most N; a cofactor left above 997^2 is tested for primality (Miller-Rabin on
 the prime bases 2..41 below psi13, BPSW from there up), then for a perfect
 power by integer k-th roots, and split by Pollard-Brent rho within
-``RHO_STEPS`` steps.  :func:`build_sieve` (a bool sieve of Eratosthenes) and
+``RHO_STEPS`` steps on a cofactor of at most 128 bits (a step on a larger one
+counts as several).  :func:`build_sieve` (a bool sieve of Eratosthenes) and
 :meth:`DivisorSieve.highly_composite_table` serve no command; they stay
 because the benchmark's traced sweep run calls them, and they import numpy
 only when called, so importing this module does not load it.
@@ -29,16 +30,17 @@ _TRIAL_SQUARE = _PRIMES[-1] ** 2
 # Miller-Rabin on the 13 prime bases 2..41 is exact below psi13 (Sorenson and
 # Webster 2015); psi13 itself passes all 13.
 _PSI13 = 3317044064679887385961981
-# Evaluations of x^2 + c that rho may spend on one N, in all.  The corpus's
-# hardest row, psi13 (least factor 1.29e12), needs half of it; a product of
-# two primes near 1e20 exhausts it in 1.6-2.2 s on a 2-vCPU x86 host.
+# Evaluations of x^2 + c that rho may spend on one N, in all, in steps on a
+# cofactor of at most 128 bits (``_rho`` charges a larger one more).  The
+# corpus's hardest row, psi13 (least factor 1.29e12), needs half of it; a
+# product of two primes near 1e20 exhausts it in 1.6-2.2 s on a 2-vCPU x86 host.
 RHO_STEPS = 1 << 22
 
 
 class CapacityError(ValueError):
     """A request is outside the supported range: a sweep or sieve limit, an N
     whose pear bound exceeds float range, or an N that rho cannot factor
-    within ``RHO_STEPS`` steps."""
+    within its budget of ``RHO_STEPS`` steps."""
 
 
 class DivisorSieve:
@@ -149,15 +151,20 @@ def _rho(n: int, budget: int) -> tuple[int, int]:
     """A proper factor of composite n by Pollard-Brent rho (Brent 1980), and
     the budget left.  x -> x^2 + c from x = 2 for c = 1, 2, ... until one
     splits n; CapacityError once a round would exceed the budget."""
+    # a step on n costs about (k + k^2/8) / (9/8) steps on 128 bits, with
+    # k = bits / 128 and k^2 the schoolbook product: 1 up to 128 bits, 43 at
+    # 2048, where a step took 49 times as long on a 2-vCPU x86 host
+    bits = n.bit_length()
+    weight = max(1, (bits * (bits + 1024) + 73728) // 147456)
     c = 0
     while True:
         c += 1
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
-            if 2 * r > budget:  # a round takes at most 2r steps
-                raise CapacityError(
-                    f"cannot factor {n}: Pollard rho found no factor in {RHO_STEPS} steps")
-            budget -= 2 * r
+            if 2 * r * weight > budget:  # a round takes at most 2r steps
+                raise CapacityError(f"cannot factor {n}: Pollard rho found no factor "
+                                    f"in {RHO_STEPS // weight} steps")
+            budget -= 2 * r * weight
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

@@ -9,14 +9,15 @@ the perfect values are read one at a time from the iterator
 The scatter datasets come in two views: a mid-scale view capped at 10^4 and a
 full-limit view (written only when the limit exceeds 10^4).  Each view gets a
 stride-sampled n_max series plus complete (unsampled) perfect-value and prime
-series.  Output is deterministic: byte-identical for any thread count.
+series.  The column is filled in one pass over blocks of ``FILL_BLOCK``
+entries, on the calling thread, so the output is the same for any thread
+count: the count is accepted, checked and has no effect.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +31,7 @@ SMALL_VIEW_LIMIT = 10_000
 SMALL_VIEW_STRIDE = 10
 FULL_VIEW_STRIDE = 997
 MASK_BLOCK = 1 << 16  # entries per block of the prime scan and rows per CSV write
+FILL_BLOCK = 1 << 20  # entries per block of the fill: 2 MiB of uint16, about one L2 cache
 
 SMALL_VIEW_FILES = ("nmax_sampled.csv", "nmax_perfect.csv", "nmax_primes_10k.csv")
 FULL_VIEW_FILES = ("nmax_1m_sampled.csv", "nmax_1m_perfect.csv", "nmax_primes_1m.csv")
@@ -46,24 +48,24 @@ class SweepSummary:
 
 
 def _fill_n_max(n_max: np.ndarray, lo: int, hi: int, largest: int) -> None:
-    """Write the answer for every N in [lo, hi] into n_max; `largest` is
-    max_baskets(hi).
+    """Write the answer for every N in [lo, hi], lo >= 1, into n_max;
+    `largest` is max_baskets(hi).
 
     A divisor d <= largest serves every multiple N >= T(d) = d(d-1)/2;
     sweeping d ascending and overwriting leaves the largest one in place.
     From T(2d) = d(2d-1) on, d is written only at its odd multiples: an even
     multiple N = kd >= T(2d) is a multiple of 2d, and 2d <= m(N) <= largest,
-    so 2d, or a larger divisor, overwrites that slot later.
+    so 2d, or a larger divisor, overwrites that slot later.  The d with
+    T(2d) <= lo, that is 2d <= m(lo), need only that one slice.
     """
-    for d in range(1, largest + 1):
-        start = max(d, d * (d - 1) // 2, lo)
-        skip = d * (2 * d - 1)
-        first = -(-start // d) * d
-        if first < skip:  # every multiple in [T(d), T(2d))
-            n_max[first : min(hi + 1, skip) : d] = d
-        first = (-(-max(start, skip) // d) | 1) * d  # first odd multiple from T(2d)
-        if first <= hi:
-            n_max[first : hi + 1 : 2 * d] = d
+    steady = max_baskets(lo) // 2
+    for d in range(1, steady + 1):
+        n_max[(-(-lo // d) | 1) * d : hi + 1 : 2 * d] = d
+    for d in range(steady + 1, largest + 1):
+        skip = d * (2 * d - 1)  # T(2d) > lo, an odd multiple of d
+        n_max[-(-max(lo, d * (d - 1) // 2) // d) * d : min(hi + 1, skip) : d] = d
+        if skip <= hi:
+            n_max[skip : hi + 1 : 2 * d] = d
 
 
 def _check_request(limit: int, thread_count: int | None) -> None:
@@ -81,30 +83,22 @@ def compute_records(limit: int, sieve: DivisorSieve | None = None,
     """The answer for every N in [1, limit]: a uint16 array of length
     limit + 1, 2 bytes per N, whose entry N is n_max(N); entry 0 is unused.
 
-    One contiguous chunk runs on each of min(thread_count, CPUs, limit)
-    workers; each walks every divisor up to m(hi), so chunks beyond the CPUs
-    only add work.  thread_count (None: CPUs) can lower the count, never
-    raise it, and never changes the result.  Primes and perfect values are
-    not stored: the emitters read the primes off ``n_max`` and draw the
-    perfect values from the ``perfect_values`` iterator.
-    ``sieve`` is accepted and not read.  Raises ValueError for a limit or
-    thread_count below 1, and CapacityError above ``SIEVE_CEILING``, before
-    allocating anything.
+    The fill runs in ascending blocks of ``FILL_BLOCK`` entries, each
+    walking every divisor up to m of its end, so each slice of the column
+    stays in cache while every divisor strides over it.  ``thread_count`` is
+    accepted and checked and has no effect: there is one pass, on the
+    calling thread.  Primes and perfect values are not stored: the emitters
+    read the primes off ``n_max`` and draw the perfect values from the
+    ``perfect_values`` iterator.  ``sieve`` is accepted and not read.
+    Raises ValueError for a limit or thread_count below 1, and CapacityError
+    above ``SIEVE_CEILING``, before allocating anything.
     """
     _check_request(limit, thread_count)
-    workers = min(thread_count or limit, os.cpu_count() or 1, limit)
     # exact: below 2^31 every answer is under 65536 (see arith.SIEVE_CEILING)
     n_max = np.zeros(limit + 1, dtype=np.uint16)
-    # contiguous chunks; workers write disjoint slices of the shared array
-    step = -(-limit // workers)
-    chunks = [(lo, min(lo + step - 1, limit)) for lo in range(1, limit + 1, step)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # max_baskets runs on this thread: perfbench's span tracer nests
-        # spans per thread, so a traced call on a worker would have no parent
-        jobs = [pool.submit(_fill_n_max, n_max, lo, hi, max_baskets(hi)) for lo, hi in chunks]
-        for job in jobs:
-            job.result()
-
+    for lo in range(1, limit + 1, FILL_BLOCK):
+        hi = min(lo + FILL_BLOCK - 1, limit)
+        _fill_n_max(n_max, lo, hi, max_baskets(hi))
     return n_max
 
 

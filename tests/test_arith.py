@@ -216,6 +216,16 @@ class TestFactoriser:
         # a prime cofactor above 997^2 spends none of the budget
         assert divisors(6 * 1000003) == divisors_from_factors([(2, 1), (3, 1), (1000003, 1)])
 
+    def test_rho_budget_is_weighted_by_cofactor_size(self, monkeypatch):
+        # a step on a cofactor above 128 bits is charged its cost in steps on
+        # 128 bits: a product of two 64-bit primes gets the whole budget, one
+        # of two 300-digit primes (1987 bits, weight 41) gets 4096 // 41
+        monkeypatch.setattr(arith, "RHO_STEPS", 4096)
+        for p, q, steps in [(2**64 - 59, 2**64 - 83, 4096),
+                            (10**299 + 669, 10**299 + 2721, 99)]:
+            with pytest.raises(CapacityError, match=rf"^cannot factor {p * q}: .* {steps} steps$"):
+                divisors(p * q)
+
 
 class TestIsPrime:
     @pytest.mark.parametrize("n,expected", [(53, True), (1, False), (60, False), (2, True)])

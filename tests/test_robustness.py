@@ -21,6 +21,9 @@ ADDRESS_SPACE = 1 << 30
 TIMEOUT_S = 30
 
 TOO_MANY_DIGITS = "9" * 4301
+# two 300-digit primes: N is below the pear-bound cutoff, and rho, charged by
+# the size of its cofactor, gives up on it in about the time of 128 bits
+SEMIPRIME_600_DIGITS = (10**299 + 669) * (10**299 + 2721)
 
 # argv, exit code, prefix of the last stderr line
 ROWS = [
@@ -41,6 +44,8 @@ ROWS = [
     (["classify", str((10**14 + 31) ** 3)], 0, ""),
     (["classify", "--format", "json", str(10**617)], 3,
      "error: the pear bound exceeds float range for N above about 1.6e616"),
+    # "--format text" keeps the id apart from the 10^30 row's
+    (["classify", "--format", "text", str(SEMIPRIME_600_DIGITS)], 3, "error: cannot factor"),
 ]
 
 

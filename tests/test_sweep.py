@@ -1,6 +1,4 @@
-import os
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from math import isqrt
 
 import numpy as np
@@ -10,6 +8,7 @@ from baskets.arith import build_sieve, highly_composite_numbers
 from baskets.census import classify, perfect_values
 from baskets.solver import max_baskets, solve
 from baskets.sweep import (
+    FILL_BLOCK,
     MASK_BLOCK,
     _fill_n_max,
     _floor_primes,
@@ -107,6 +106,7 @@ class TestComputeRecords:
             assert (n in perfect) == flags["perfect"], n
 
     def test_thread_counts_agree(self):
+        # thread_count is accepted and has no effect: the fill is one pass
         base = compute_records(20_000, thread_count=1)
         for threads in (2, 4, 8):
             other = compute_records(20_000, thread_count=threads)
@@ -114,27 +114,14 @@ class TestComputeRecords:
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_thread_count_below_one_rejected(self, threads):
-        # the same rule as run_sweep: None means one worker per CPU
+        # the same rule as run_sweep, though the count changes no work
         with pytest.raises(ValueError, match="thread_count"):
             compute_records(10, thread_count=threads)
 
-    def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch):
-        asked = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers=None, *args, **kwargs):
-                asked.append(max_workers)
-                super().__init__(max_workers, *args, **kwargs)
-
-        monkeypatch.setattr("baskets.sweep.ThreadPoolExecutor", RecordingPool)
-        n_max = compute_records(64, thread_count=10**9)
-        assert len(asked) == 1 and 1 <= asked[0] <= (os.cpu_count() or 1)
-        assert np.array_equal(n_max, compute_records(64, thread_count=1))
-
     @pytest.mark.parametrize("splits", [1, 3, 8])
     def test_fill_is_the_same_for_any_chunking(self, splits):
-        # the thread cap keeps compute_records to at most one chunk per CPU,
-        # so the chunkings of a larger pool are checked on the fill itself;
+        # the fill of any split of the range into consecutive pieces, each
+        # walking the divisors up to m of its end, equals the blocked pass;
         # [1, 20000] crosses the thresholds T(d) = d(d-1)/2 of d up to 200
         limit = 20_000
         n_max = np.zeros(limit + 1, dtype=np.uint16)
@@ -143,12 +130,16 @@ class TestComputeRecords:
             _fill_n_max(n_max, lo, hi, max_baskets(hi))
         assert np.array_equal(n_max, compute_records(limit, thread_count=1))
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_fill_matches_division(self, divided, threads):
-        # the fill skips the even multiples that a larger divisor overwrites;
-        # the reference divides every N by every d
-        n_max = compute_records(FILL_LIMIT, thread_count=threads)
-        assert np.array_equal(n_max[1:], divided[1:])
+    @pytest.mark.parametrize("block", [1, 2, 997, 1 << 16, FILL_BLOCK])
+    def test_fill_matches_division(self, divided, monkeypatch, block):
+        # the fill skips the even multiples that a larger divisor overwrites,
+        # block by block; the reference divides every N by every d.  Each
+        # block walks every divisor up to m of its end, so a range of tiny
+        # blocks is cut to 2000 of them
+        monkeypatch.setattr("baskets.sweep.FILL_BLOCK", block)
+        limit = min(FILL_LIMIT, 2000 * block)
+        n_max = compute_records(limit)
+        assert np.array_equal(n_max[1:], divided[1 : limit + 1])
 
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 64, 150, 316])
     def test_fill_ranges_at_the_skip(self, divided, d):
