@@ -1,17 +1,20 @@
 """Batch computation of solutions for all N in [1, limit] and CSV emission.
 
-``compute_records`` returns one uint16 array, the answer n_max for every N,
-and ``emit_datasets`` reads the rest off it: the N > 1 with answer 1 are
-exactly the primes of 5 or more (``census.classify`` gives the reason), and
-the perfect values are read one at a time from the iterator
-``census.perfect_values``, which ``run_sweep`` also counts.
+The answer n_max is filled in blocks of ``FILL_BLOCK`` entries, and each
+block's rows are read off it while it is in cache: the N > 1 with answer 1
+are exactly the primes of 5 or more (``census.classify`` gives the reason),
+so only odd entries are scanned, and the perfect values come once from
+``census.perfect_values``.  ``run_sweep`` reuses one block buffer, so its
+memory is flat in the limit; ``compute_records`` fills views of one whole
+column, and ``emit_datasets`` streams slices of it through the same emitter.
 
 The scatter datasets come in two views: a mid-scale view capped at 10^4 and a
 full-limit view (written only when the limit exceeds 10^4).  Each view gets a
 stride-sampled n_max series plus complete (unsampled) perfect-value and prime
-series.  The column is filled in one pass over blocks of ``FILL_BLOCK``
-entries, on the calling thread, so the output is the same for any thread
-count: the count is accepted, checked and has no effect.
+series.  Each file is appended to as a .tmp file, block by block, and all are
+renamed after the last block.  The fill runs on the calling thread, so the
+output is the same for any thread count: the count is accepted, checked and
+has no effect.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from math import lcm
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +34,19 @@ from .solver import max_baskets
 SMALL_VIEW_LIMIT = 10_000
 SMALL_VIEW_STRIDE = 10
 FULL_VIEW_STRIDE = 997
-MASK_BLOCK = 1 << 16  # entries per block of the prime scan and rows per CSV write
+MASK_BLOCK = 1 << 16  # rows per CSV write
 FILL_BLOCK = 1 << 20  # entries per block of the fill: 2 MiB of uint16, about one L2 cache
 
 SMALL_VIEW_FILES = ("nmax_sampled.csv", "nmax_perfect.csv", "nmax_primes_10k.csv")
 FULL_VIEW_FILES = ("nmax_1m_sampled.csv", "nmax_1m_perfect.csv", "nmax_primes_1m.csv")
+
+# The largest d <= 12 dividing N, at index N mod lcm(1..12) = 27720 (55 KB)
+SMALL_DIVISOR_TOP = 12
+SMALL_PERIOD = lcm(*range(1, SMALL_DIVISOR_TOP + 1))
+SMALL_DIVISORS = np.empty(SMALL_PERIOD, dtype=np.uint16)
+for _d in range(1, SMALL_DIVISOR_TOP + 1):
+    SMALL_DIVISORS[::_d] = _d
+del _d
 
 
 @dataclass(frozen=True)
@@ -43,29 +55,39 @@ class SweepSummary:
     prime_count: int
     elapsed_seconds: float
     paths: tuple[Path, ...]
-    # seconds of each phase, keyed "compute_records" and "emit_datasets"
+    # seconds of each phase, summed over blocks, keyed "compute_records"
+    # (the fill) and "emit_datasets" (everything else)
     phase_seconds: dict[str, float]
 
 
-def _fill_n_max(n_max: np.ndarray, lo: int, hi: int, largest: int) -> None:
-    """Write the answer for every N in [lo, hi], lo >= 1, into n_max;
-    `largest` is max_baskets(hi).
+def _fill_n_max(block: np.ndarray, lo: int) -> None:
+    """Write the answer for N = lo + i into block[i], lo >= 1; every entry is
+    written, so the block may hold anything before.
 
-    A divisor d <= largest serves every multiple N >= T(d) = d(d-1)/2;
-    sweeping d ascending and overwriting leaves the largest one in place.
-    From T(2d) = d(2d-1) on, d is written only at its odd multiples: an even
-    multiple N = kd >= T(2d) is a multiple of 2d, and 2d <= m(N) <= largest,
-    so 2d, or a larger divisor, overwrites that slot later.  The d with
-    T(2d) <= lo, that is 2d <= m(lo), need only that one slice.
+    A divisor d <= m(hi), hi the block's last N, serves every multiple
+    N >= T(d) = d(d-1)/2; sweeping d ascending and overwriting leaves the
+    largest one in place.  From T(2d) = d(2d-1) on, d is written only at its
+    odd multiples: an even multiple N = kd >= T(2d) is a multiple of 2d, and
+    2d <= m(N), so 2d, or a larger divisor, overwrites that slot later.  The
+    d with T(2d) <= lo, that is 2d <= m(lo), need only that one slice.  Once
+    m(lo) >= 12 every d <= 12 serves the whole block, so their net result,
+    the largest d <= 12 dividing N, is copied from ``SMALL_DIVISORS``.
     """
-    steady = max_baskets(lo) // 2
-    for d in range(1, steady + 1):
-        n_max[(-(-lo // d) | 1) * d : hi + 1 : 2 * d] = d
-    for d in range(steady + 1, largest + 1):
+    bound = max_baskets(lo)
+    steady = bound // 2
+    first = 1
+    if bound >= SMALL_DIVISOR_TOP:  # N = lo + at is a multiple of the period
+        for at in range(-(lo % SMALL_PERIOD), len(block), SMALL_PERIOD):
+            block[max(at, 0) : at + SMALL_PERIOD] = SMALL_DIVISORS[max(-at, 0) : len(block) - at]
+        first = SMALL_DIVISOR_TOP + 1
+    for d in range(first, steady + 1):
+        block[(-(-lo // d) | 1) * d - lo :: 2 * d] = d
+    end = lo + len(block)
+    for d in range(max(first, steady + 1), max_baskets(end - 1) + 1):
         skip = d * (2 * d - 1)  # T(2d) > lo, an odd multiple of d
-        n_max[-(-max(lo, d * (d - 1) // 2) // d) * d : min(hi + 1, skip) : d] = d
-        if skip <= hi:
-            n_max[skip : hi + 1 : 2 * d] = d
+        block[-(-max(lo, d * (d - 1) // 2) // d) * d - lo : min(end, skip) - lo : d] = d
+        if skip < end:
+            block[skip - lo :: 2 * d] = d
 
 
 def _check_request(limit: int, thread_count: int | None) -> None:
@@ -83,39 +105,26 @@ def compute_records(limit: int, sieve: DivisorSieve | None = None,
     """The answer for every N in [1, limit]: a uint16 array of length
     limit + 1, 2 bytes per N, whose entry N is n_max(N); entry 0 is unused.
 
-    The fill runs in ascending blocks of ``FILL_BLOCK`` entries, each
-    walking every divisor up to m of its end, so each slice of the column
-    stays in cache while every divisor strides over it.  ``thread_count`` is
-    accepted and checked and has no effect: there is one pass, on the
-    calling thread.  Primes and perfect values are not stored: the emitters
-    read the primes off ``n_max`` and draw the perfect values from the
-    ``perfect_values`` iterator.  ``sieve`` is accepted and not read.
-    Raises ValueError for a limit or thread_count below 1, and CapacityError
-    above ``SIEVE_CEILING``, before allocating anything.
+    The fill runs in ascending blocks of ``FILL_BLOCK`` entries, each a view
+    of the column that stays in cache while every divisor up to m of its end
+    strides over it.  ``thread_count`` is accepted and checked and has no
+    effect: there is one pass, on the calling thread.  ``sieve`` is accepted
+    and not read.  Raises ValueError for a limit or thread_count below 1, and
+    CapacityError above ``SIEVE_CEILING``, before allocating anything.
     """
     _check_request(limit, thread_count)
     # exact: below 2^31 every answer is under 65536 (see arith.SIEVE_CEILING)
     n_max = np.zeros(limit + 1, dtype=np.uint16)
     for lo in range(1, limit + 1, FILL_BLOCK):
-        hi = min(lo + FILL_BLOCK - 1, limit)
-        _fill_n_max(n_max, lo, hi, max_baskets(hi))
+        _fill_n_max(n_max[lo : lo + FILL_BLOCK], lo)
     return n_max
 
 
-def _floor_masks(n_max: np.ndarray):
-    """(lo, mask) for each block of [2, len(n_max) - 1]: mask[i] is True iff
-    N = lo + i has answer 1, that is iff N is a prime of 5 or more.
-
-    Block by block, so no whole-range temporary exists.
-    """
-    for lo in range(2, len(n_max), MASK_BLOCK):
-        yield lo, n_max[lo : lo + MASK_BLOCK] == 1
-
-
-def _floor_primes(n_max: np.ndarray) -> np.ndarray:
-    """Every prime in [5, len(n_max) - 1], ascending."""
-    blocks = [np.flatnonzero(mask) + lo for lo, mask in _floor_masks(n_max)]
-    return np.concatenate([np.empty(0, dtype=np.int64), *blocks])
+def _block_primes(block: np.ndarray, lo: int) -> np.ndarray:
+    """The primes of 5 or more among N = lo + i, ascending: the odd N > 1
+    with answer 1, since every prime of 5 or more is odd."""
+    first = max(lo, 2) | 1
+    return np.flatnonzero(block[first - lo :: 2] == 1) * 2 + first
 
 
 def _format_rows(ns: np.ndarray, n_max: np.ndarray) -> bytes:
@@ -143,20 +152,63 @@ def _format_rows(ns: np.ndarray, n_max: np.ndarray) -> bytes:
     return grid[keep].tobytes()
 
 
-def _write_series(path: Path, ns: np.ndarray, n_max: np.ndarray) -> None:
-    """Atomically write one N,nmax series (temp file, then rename)."""
-    tmp = path.with_name(path.name + ".tmp")
+def _write_rows(file, ns: np.ndarray, n_max: np.ndarray) -> None:
+    """Append the "N,nmax" lines of ns and their answers, MASK_BLOCK at a time."""
+    for at in range(0, len(ns), MASK_BLOCK):
+        file.write(_format_rows(ns[at : at + MASK_BLOCK], n_max[at : at + MASK_BLOCK]))
+
+
+def _stream_datasets(blocks, limit: int, out_dir: Path,
+                     stride: int | None) -> tuple[list[Path], int, int]:
+    """Write the datasets of a sweep to `limit` under out_dir from its blocks;
+    return the paths, the perfect count and the prime count.
+
+    `blocks` yields (lo, block), block[i] = n_max(lo + i), in ascending order
+    over [1, limit].  Each block's rows go to a .tmp file per dataset; once
+    the last block is in, every file is renamed.  On any error no .tmp file
+    is left, and an OSError names the dataset it happened on.
+    """
+    views = [(min(limit, SMALL_VIEW_LIMIT), stride or SMALL_VIEW_STRIDE, SMALL_VIEW_FILES)]
+    if limit > SMALL_VIEW_LIMIT:
+        views.append((limit, stride or FULL_VIEW_STRIDE, FULL_VIEW_FILES))
+    else:  # a full view left by an earlier, larger sweep would describe another limit
+        for name in FULL_VIEW_FILES:
+            (out_dir / name).unlink(missing_ok=True)
+    # every view starts at N = 1: its series are prefixes of the full ones
+    perfect = np.fromiter((n for n, _ in perfect_values(limit)), dtype=np.int64)
+    prime_count = sum(p <= limit for p in (2, 3))
+    paths = [out_dir / name for *_, names in views for name in names]
+    tmps = [path.with_name(path.name + ".tmp") for path in paths]
+    files = []
+    path = paths[0]  # the dataset in hand, named by an OSError
     try:
-        with open(tmp, "wb") as f:
-            f.write(b"N,nmax\n")
-            for lo in range(0, len(ns), MASK_BLOCK):
-                f.write(_format_rows(ns[lo : lo + MASK_BLOCK], n_max[lo : lo + MASK_BLOCK]))
-        os.replace(tmp, path)
+        for path, tmp in zip(paths, tmps):
+            files.append(open(tmp, "wb"))
+            files[-1].write(b"N,nmax\n")
+        for lo, block in blocks:
+            end = lo + len(block)
+            primes = _block_primes(block, lo)
+            prime_count += len(primes)
+            in_block = perfect[np.searchsorted(perfect, lo) : np.searchsorted(perfect, end)]
+            series = []
+            for view_limit, step, _ in views:
+                top = min(end - 1, view_limit)
+                series.append(np.arange(-(-lo // step) * step, top + 1, step, dtype=np.int64))
+                series += [full[: np.searchsorted(full, top, "right")]
+                           for full in (in_block, primes)]
+            for path, file, ns in zip(paths, files, series):
+                _write_rows(file, ns, block[ns - lo])
+        for path, file, tmp in zip(paths, files, tmps):
+            file.close()
+            os.replace(tmp, path)
     except OSError as exc:
         raise OSError(f"failed writing dataset {path}: {exc}") from exc
     finally:
-        if tmp.exists():
-            tmp.unlink()
+        for file in files:
+            file.close()
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
+    return paths, len(perfect), prime_count
 
 
 def _make_output_dir(output_dir, stride: int | None) -> Path:
@@ -175,44 +227,36 @@ def emit_datasets(n_max: np.ndarray, output_dir, stride: int | None = None) -> l
     if limit < 1:
         raise ValueError(f"records must cover N = 1, got {len(n_max)} entries")
     out_dir = _make_output_dir(output_dir, stride)
-
-    views = [(min(limit, SMALL_VIEW_LIMIT), stride or SMALL_VIEW_STRIDE, SMALL_VIEW_FILES)]
-    if limit > SMALL_VIEW_LIMIT:
-        views.append((limit, stride or FULL_VIEW_STRIDE, FULL_VIEW_FILES))
-    else:  # a full view left by an earlier, larger sweep would describe another limit
-        for name in FULL_VIEW_FILES:
-            (out_dir / name).unlink(missing_ok=True)
-    # every view starts at N = 1: its series are prefixes of the full ones
-    perfect = np.fromiter((n for n, _ in perfect_values(limit)), dtype=np.int64)
-    primes = _floor_primes(n_max)
-    written = []
-    for view_limit, step, names in views:
-        series = [np.arange(step, view_limit + 1, step, dtype=np.int64)]
-        series += [full[: np.searchsorted(full, view_limit, "right")] for full in (perfect, primes)]
-        for name, indices in zip(names, series):
-            path = out_dir / name
-            _write_series(path, indices, n_max[indices])
-            written.append(path)
-    return written
+    blocks = ((lo, n_max[lo : lo + FILL_BLOCK]) for lo in range(1, limit + 1, FILL_BLOCK))
+    return _stream_datasets(blocks, limit, out_dir, stride)[0]
 
 
 def run_sweep(limit: int, output_dir, stride: int | None = None,
               thread_count: int | None = None) -> SweepSummary:
-    """Compute records for [1, limit], emit datasets, report counts; every
-    argument is checked, and output_dir made, before the records are computed."""
+    """Fill [1, limit] block by block into one reused buffer, stream each
+    block's datasets, and report the counts; every argument is checked, and
+    output_dir made, before anything is filled."""
     _check_request(limit, thread_count)
-    _make_output_dir(output_dir, stride)
+    out_dir = _make_output_dir(output_dir, stride)
     started = time.perf_counter()
-    n_max = compute_records(limit, thread_count=thread_count)
-    computed = time.perf_counter()
-    paths = emit_datasets(n_max, output_dir, stride)
-    emitted = time.perf_counter()
-    floor_primes = sum(int(np.count_nonzero(mask)) for _, mask in _floor_masks(n_max))
+    filling = 0.0
+    buffer = np.empty(min(limit, FILL_BLOCK), dtype=np.uint16)
+
+    def filled_blocks():
+        nonlocal filling
+        for lo in range(1, limit + 1, FILL_BLOCK):
+            begun = time.perf_counter()
+            block = buffer[: limit + 1 - lo]
+            _fill_n_max(block, lo)
+            filling += time.perf_counter() - begun
+            yield lo, block
+
+    paths, perfect_count, prime_count = _stream_datasets(filled_blocks(), limit, out_dir, stride)
+    elapsed = time.perf_counter() - started
     return SweepSummary(
-        perfect_count=sum(1 for _ in perfect_values(limit)),
-        prime_count=floor_primes + sum(p <= limit for p in (2, 3)),
-        elapsed_seconds=time.perf_counter() - started,
+        perfect_count=perfect_count,
+        prime_count=prime_count,
+        elapsed_seconds=elapsed,
         paths=tuple(paths),
-        phase_seconds={"compute_records": computed - started,
-                       "emit_datasets": emitted - computed},
+        phase_seconds={"compute_records": filling, "emit_datasets": elapsed - filling},
     )

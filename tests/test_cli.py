@@ -1,7 +1,10 @@
+import ctypes
 import hashlib
 import io
 import json
 import os
+import platform
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -9,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from baskets import arith, cli
+from baskets import arith, cli, sweep
 from baskets.arith import triangular
 from baskets.census import enumerate_distributions
 from baskets.solver import Solution, feasible, pear_bound, solve
@@ -375,6 +378,24 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--limit", "10", "--out", str(blocker))
         assert code == cli.EXIT_IO
         assert "error:" in err
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc malloc")
+    def test_repeated_sweeps_fault_in_no_pages(self, capsys, tmp_path):
+        # freed block temporaries stay in the heap, so a warm sweep maps no new pages
+        argv = ("sweep", "--limit", str(3 * sweep.FILL_BLOCK + 7), "--out", str(tmp_path))
+        faults = []
+        for _ in range(3):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert run_cli(capsys, *argv)[0] == 0
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert faults[-1] < 40, faults
+
+    def test_allocator_step_is_skipped_without_mallopt(self, monkeypatch):
+        def no_libc(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        assert cli._keep_freed_blocks.__wrapped__() is None
 
 
 class TestOracleCommand:

@@ -1,18 +1,20 @@
+import os
 import tracemalloc
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from baskets.arith import build_sieve, highly_composite_numbers
 from baskets.census import classify, perfect_values
-from baskets.solver import max_baskets, solve
+from baskets.solver import solve
 from baskets.sweep import (
     FILL_BLOCK,
     MASK_BLOCK,
+    _block_primes,
     _fill_n_max,
-    _floor_primes,
-    _write_series,
+    _write_rows,
     compute_records,
     emit_datasets,
     run_sweep,
@@ -25,6 +27,24 @@ def reference_csv(ns, n_max) -> bytes:
     """The N,nmax file for the given rows, one f-string per row."""
     lines = ["N,nmax\n"] + [f"{n},{m}\n" for n, m in zip(ns.tolist(), n_max.tolist())]
     return "".join(lines).encode("ascii")
+
+
+def floor_primes(n_max, block=FILL_BLOCK) -> np.ndarray:
+    """The package's prime scan over a whole column, one block at a time from
+    N = 1, as emit_datasets runs it: every prime of 5 or more, ascending."""
+    found = [_block_primes(n_max[lo : lo + block], lo) for lo in range(1, len(n_max), block)]
+    return np.concatenate([np.empty(0, dtype=np.int64), *found])
+
+
+def write_series(path, ns, n_max) -> None:
+    """One N,nmax file: the header, then the rows as the sweep appends them."""
+    with open(path, "wb") as f:
+        f.write(b"N,nmax\n")
+        _write_rows(f, ns, n_max)
+
+
+def sweep_bytes(directory) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
 def modulo_n_max(limit) -> np.ndarray:
@@ -96,7 +116,7 @@ class TestConfig:
 class TestComputeRecords:
     def test_matches_single_n_path(self):
         n_max = compute_records(2000)
-        primes = set(_floor_primes(n_max).tolist()) | {2, 3}
+        primes = set(floor_primes(n_max).tolist()) | {2, 3}
         perfect = {n for n, _ in perfect_values(2000)}
         for n in range(1, 2001):
             solution = solve(n)
@@ -127,7 +147,7 @@ class TestComputeRecords:
         n_max = np.zeros(limit + 1, dtype=np.uint16)
         for chunk in np.array_split(np.arange(1, limit + 1), splits):
             lo, hi = int(chunk[0]), int(chunk[-1])
-            _fill_n_max(n_max, lo, hi, max_baskets(hi))
+            _fill_n_max(n_max[lo : hi + 1], lo)
         assert np.array_equal(n_max, compute_records(limit, thread_count=1))
 
     @pytest.mark.parametrize("block", [1, 2, 997, 1 << 16, FILL_BLOCK])
@@ -151,7 +171,7 @@ class TestComputeRecords:
             for lo, hi in ((edge, edge), (edge, edge + 5 * d), (max(1, edge - 5 * d), edge)):
                 hi = min(hi, FILL_LIMIT)
                 n_max = np.zeros(FILL_LIMIT + 1, dtype=np.uint16)
-                _fill_n_max(n_max, lo, hi, largest_basket_count(hi))
+                _fill_n_max(n_max[lo : hi + 1], lo)
                 assert np.array_equal(n_max[lo : hi + 1], divided[lo : hi + 1]), (lo, hi)
                 assert not n_max[:lo].any() and not n_max[hi + 1 :].any(), (lo, hi)
 
@@ -159,7 +179,7 @@ class TestComputeRecords:
         import random
 
         n_max = compute_records(1_000_000)
-        primes = set(_floor_primes(n_max).tolist()) | {2, 3}
+        primes = set(floor_primes(n_max).tolist()) | {2, 3}
         perfect = {n for n, _ in perfect_values(1_000_000)}
         rng = random.Random(20240601)
         for n in rng.sample(range(1, 1_000_001), 1000):
@@ -184,9 +204,10 @@ class TestComputeRecords:
     @pytest.mark.parametrize("limit", [MASK_BLOCK - 1, MASK_BLOCK, MASK_BLOCK + 1,
                                        MASK_BLOCK + 2, 3 * MASK_BLOCK + 5])
     def test_masks_across_block_edges(self, limit):
-        # the prime scan runs in blocks from N = 2: it equals one whole-range scan
+        # the prime scan runs per block, over its odd N only: in blocks of
+        # MASK_BLOCK entries from N = 1 it equals one whole-range scan
         n_max = compute_records(limit)
-        primes = _floor_primes(n_max)
+        primes = floor_primes(n_max, MASK_BLOCK)
         assert np.array_equal(primes, np.flatnonzero(n_max[2:] == 1) + 2)
         perfect = list(perfect_values(limit))
         assert [int(n_max[n]) for n, _ in perfect] == [k for _, k in perfect]
@@ -266,7 +287,7 @@ class TestEmitDatasets:
         ns = np.arange(rows, dtype=np.int64) ** 2
         n_max = np.resize(np.array([0, 9, 10, 99, 100, 65535], dtype=np.uint16), rows)
         path = tmp_path / "series.csv"
-        _write_series(path, ns, n_max)
+        write_series(path, ns, n_max)
         assert path.read_bytes() == reference_csv(ns, n_max)
         assert list(tmp_path.iterdir()) == [path]
 
@@ -281,7 +302,7 @@ class TestEmitDatasets:
         ns[at : at + 6] = np.resize(values, 6)
         n_max = np.resize(np.array([1, 65535, 10], dtype=np.uint16), len(ns))
         path = tmp_path / "series.csv"
-        _write_series(path, ns, n_max)
+        write_series(path, ns, n_max)
         assert path.read_bytes() == reference_csv(ns, n_max)
 
     def test_empty_records_rejected(self, tmp_path):
@@ -349,12 +370,12 @@ class TestRunSweep:
         assert written == reference_datasets(compute_records(limit), limit)
 
     def test_bad_arguments_fail_before_the_fill(self, tmp_path, monkeypatch):
-        # a bad stride or output_dir is found before compute_records allocates
-        # the column, so even a limit near 2^31 fails at once
+        # a bad stride or output_dir is found before any block is filled, so
+        # even a limit near 2^31 fails at once
         def no_fill(*args, **kwargs):
-            raise AssertionError("compute_records was called")
+            raise AssertionError("_fill_n_max was called")
 
-        monkeypatch.setattr("baskets.sweep.compute_records", no_fill)
+        monkeypatch.setattr("baskets.sweep._fill_n_max", no_fill)
         in_the_way = tmp_path / "not_a_dir"
         in_the_way.write_text("")
         with pytest.raises(ValueError, match="stride"):
@@ -371,6 +392,50 @@ class TestRunSweep:
         written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert sorted(written) == sorted(p.name for p in summary.paths)
         assert written == reference_datasets(compute_records(500), 500)
+
+    @pytest.mark.parametrize("limit", [2 * FILL_BLOCK + 5, 8 * FILL_BLOCK])
+    def test_memory_is_flat_in_the_limit(self, tmp_path, limit):
+        # one reused block buffer, and no array spanning the range: the
+        # column alone would take 4.2 and 16.8 MB at these limits
+        tracemalloc.start()
+        try:
+            summary = run_sweep(limit, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert summary.prime_count == int(prime_flags(limit).sum())
+        assert peak < 8 * 10**6
+
+    @pytest.mark.parametrize("stride", [None, 7])
+    @pytest.mark.parametrize("block", [997, 4096])
+    def test_stream_matches_the_column(self, tmp_path, monkeypatch, block, stride):
+        # blocks of 997 and 4096 entries put block edges inside the 10^4 view
+        # and inside every series; the column is emitted in one block of 2^20
+        limit = 50_000
+        emit_datasets(compute_records(limit), tmp_path / "column", stride)
+        monkeypatch.setattr("baskets.sweep.FILL_BLOCK", block)
+        summary = run_sweep(limit, tmp_path / "stream", stride)
+        assert sweep_bytes(tmp_path / "stream") == sweep_bytes(tmp_path / "column")
+        assert summary.prime_count == int(prime_flags(limit).sum())
+        assert summary.perfect_count == (largest_basket_count(limit) - 1) // 2
+
+    @pytest.mark.parametrize("failing", ["nmax_sampled.csv", "nmax_primes_1m.csv"])
+    def test_failed_rename_leaves_no_tmp_file(self, tmp_path, monkeypatch, failing):
+        # the files are renamed after the last block; a failed rename names
+        # its file and leaves no .tmp file of any dataset behind
+        replace = os.replace
+
+        def broken_replace(src, dst):
+            if Path(dst).name == failing:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr("baskets.sweep.os.replace", broken_replace)
+        with pytest.raises(OSError) as err:
+            run_sweep(3 * FILL_BLOCK, tmp_path)
+        assert failing in str(err.value)
+        assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
+        assert not (tmp_path / failing).exists()
 
     def test_byte_identical_across_thread_counts(self, tmp_path):
         outputs = {}
